@@ -199,11 +199,13 @@ void UtxoSet::apply_transaction(const Transaction& tx, UtxoUndo& undo) {
         const Hash256 id = tx.txid();
         for (std::uint32_t i = 0; i < tx.outputs.size(); ++i) {
             const OutPoint op{id, i};
+            // Undo erases only what this block inserted: an output refused as
+            // already present belongs to an earlier block.
             if (backend_->insert_if_absent(op, tx.outputs[i])) {
                 index_add(op, tx.outputs[i]);
                 total_value_ += tx.outputs[i].value;
+                undo.created.push_back(op);
             }
-            undo.created.push_back(op);
         }
     }
 }

@@ -290,6 +290,26 @@ TEST(Utxo, UndoBlockRestoresExactState) {
     EXPECT_EQ(utxo.balance_of(kAlice.address()), 0);
 }
 
+TEST(Utxo, UndoKeepsCoinTheBlockDidNotCreate) {
+    UtxoSet utxo;
+    const Block genesis = make_genesis("utxo-test", easy_bits(2));
+    const Block b1 = chain_block(genesis, {});
+    utxo.apply_block(b1);
+    const OutPoint first{b1.txs[0].txid(), 0};
+
+    // A second block repeating the first block's coinbase: its output is
+    // already present, so the block must not claim it in its undo record.
+    Block b2 = chain_block(b1, {});
+    b2.txs[0] = b1.txs[0];
+    b2.header.merkle_root = b2.compute_merkle_root();
+    const UtxoUndo undo = utxo.apply_block(b2);
+    utxo.undo_block(undo);
+
+    EXPECT_TRUE(utxo.contains(first));
+    EXPECT_EQ(utxo.size(), 1u);
+    EXPECT_EQ(utxo.total_value(), block_subsidy(1));
+}
+
 TEST(Utxo, FailedBlockLeavesStateUnchanged) {
     UtxoSet utxo;
     const Block genesis = make_genesis("utxo-test", easy_bits(2));
