@@ -9,11 +9,14 @@
 //      live ClusterDriver cluster (Nakamoto and PBFT engines), measuring
 //      confirmed tps and submit→inclusion latency percentiles from the
 //      daemons' own lifecycle stamps,
-//   3. runs the matching virtual-time simulation (NakamotoNetwork /
-//      PbftCluster) over the same demand shape as the prediction baseline,
+//   3. runs the matching virtual-time simulation over the same demand as
+//      the prediction baseline: NakamotoNetwork, and for PBFT four
+//      core::Replica over a SimTransportHub — the code the daemons run,
 //   4. SIGKILLs one node mid-run, restarts it on its old data dir and ports,
 //      and requires it to rejoin: WAL/LSM recovery plus protocol catch-up
-//      until its tip digest agrees with the cluster.
+//      until its tip digest agrees with the cluster. The Nakamoto cell kills
+//      the highest-id node; the PBFT failover cell kills the primary, so the
+//      survivors must change view.
 //
 // DLT_E29_QUICK=1 shrinks every dimension for CI smoke runs.
 #include <csignal>
@@ -27,6 +30,8 @@
 #include "common/serialize.hpp"
 #include "consensus/nakamoto.hpp"
 #include "consensus/pbft.hpp"
+#include "core/replica.hpp"
+#include "net/transport/sim_transport.hpp"
 #include "obs/txlifecycle.hpp"
 
 using namespace dlt;
@@ -114,9 +119,11 @@ struct ClusterCell {
     double tps = 0;
     double p50 = 0, p99 = 0;
     std::uint64_t submitted = 0, accepted = 0, confirmed = 0;
+    bool all_confirmed = false; // every node holds every accepted transaction
     bool digests_agree = false;
     std::size_t clean_exits = 0;
     double net_bytes_sent = 0, reconnects = 0;
+    double view_changes = 0; // pbft_view_changes_total at a survivor
 };
 
 /// Poll every node until one simultaneous status round shows identical tips.
@@ -145,15 +152,17 @@ bool await_digest_agreement(app::ClusterDriver& cluster, double timeout_s) {
     return false;
 }
 
-/// Replay `trace` against a live cluster at wall-clock pace; when
-/// `kill_rejoin` is set, SIGKILL the highest-id node a third of the way in
-/// and restart it at two thirds, requiring recovery + catch-up.
+/// Replay `trace` against a live cluster at wall-clock pace over the offered
+/// window of `offered_s` seconds; when `victim` is set, SIGKILL that node a
+/// third of the way in and restart it at two thirds, requiring recovery +
+/// catch-up.
 ClusterCell run_cluster_cell(core::ReplicaEngine engine, std::size_t nodes,
                              double block_interval,
                              const std::vector<TraceHost::Entry>& trace,
+                             double offered_s,
                              const std::filesystem::path& work_dir,
-                             bool kill_rejoin, double settle_timeout_s,
-                             int* rejoin_exit = nullptr) {
+                             std::optional<std::size_t> victim,
+                             double settle_timeout_s, int* killed_exit = nullptr) {
     app::ClusterConfig config;
     config.node_count = nodes;
     config.engine = engine;
@@ -165,23 +174,22 @@ ClusterCell run_cluster_cell(core::ReplicaEngine engine, std::size_t nodes,
 
     ClusterCell cell;
     const double trace_end = trace.empty() ? 0 : trace.back().at;
-    const std::size_t victim = nodes - 1;
     const double kill_at = trace_end / 3.0;
     const double restart_at = 2.0 * trace_end / 3.0;
-    bool killed = false, restarted = !kill_rejoin;
+    bool killed = false, restarted = !victim;
 
     bench::Timer clock;
     for (const auto& entry : trace) {
         while (clock.elapsed_s() < entry.at)
             std::this_thread::sleep_for(std::chrono::microseconds(200));
-        if (kill_rejoin && !killed && clock.elapsed_s() >= kill_at) {
-            cluster.signal_node(victim, SIGKILL);
-            const int code = cluster.wait_node(victim);
-            if (rejoin_exit != nullptr) *rejoin_exit = code;
+        if (victim && !killed && clock.elapsed_s() >= kill_at) {
+            cluster.signal_node(*victim, SIGKILL);
+            const int code = cluster.wait_node(*victim);
+            if (killed_exit != nullptr) *killed_exit = code;
             killed = true;
         }
         if (killed && !restarted && clock.elapsed_s() >= restart_at) {
-            cluster.restart_node(victim);
+            cluster.restart_node(*victim);
             restarted = true;
         }
         std::size_t target = entry.node % nodes;
@@ -190,45 +198,48 @@ ClusterCell run_cluster_cell(core::ReplicaEngine engine, std::size_t nodes,
         if (cluster.rpc(target).submit(entry.tx)) ++cell.accepted;
     }
     if (killed && !restarted) {
-        cluster.restart_node(victim);
+        cluster.restart_node(*victim);
         restarted = true;
     }
 
-    // Drain: poll until the confirmed count stops moving (or timeout).
-    std::uint64_t last_confirmed = 0;
-    int stable_rounds = 0;
+    // Drain: poll until every node has confirmed every accepted transaction
+    // (and, after a PBFT failover, a survivor reports its view change), or
+    // the timeout. The view change alone takes the engine's 5 s timeout.
+    const std::size_t survivor = victim ? (*victim + 1) % nodes : 0;
+    const bool wait_view_change = victim && engine == core::ReplicaEngine::kPbft;
     bench::Timer settle;
-    while (settle.elapsed_s() < settle_timeout_s && stable_rounds < 6) {
-        std::uint64_t confirmed = 0;
+    while (true) {
+        std::uint64_t least = cell.accepted, most = 0;
         for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-            if (!cluster.alive(i)) continue;
-            if (const auto s = cluster.rpc(i).status())
-                confirmed = std::max(confirmed, s->confirmed_txs);
+            const auto s = cluster.rpc(i).status();
+            const std::uint64_t confirmed = s ? s->confirmed_txs : 0;
+            least = std::min(least, confirmed);
+            most = std::max(most, confirmed);
         }
-        stable_rounds = confirmed == last_confirmed ? stable_rounds + 1 : 0;
-        last_confirmed = confirmed;
+        cell.confirmed = most;
+        cell.all_confirmed = least >= cell.accepted;
+        if (wait_view_change)
+            cell.view_changes = metric_from_json(cluster.rpc(survivor).metrics_json(),
+                                                 "pbft_view_changes_total");
+        if (cell.all_confirmed && (!wait_view_change || cell.view_changes >= 1)) break;
+        if (settle.elapsed_s() >= settle_timeout_s) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
     }
-    cell.confirmed = last_confirmed;
-    const double window = clock.elapsed_s();
-    cell.tps = bench::rate_per_sec(static_cast<double>(cell.confirmed), window);
+    cell.tps = bench::rate_per_sec(static_cast<double>(cell.confirmed), offered_s);
 
     cell.digests_agree = await_digest_agreement(cluster, settle_timeout_s);
 
     std::vector<double> latencies;
     for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-        if (!cluster.alive(i)) continue;
         const auto node_lat = cluster.rpc(i).latencies();
         latencies.insert(latencies.end(), node_lat.begin(), node_lat.end());
     }
     cell.p50 = percentile(latencies, 0.50);
     cell.p99 = percentile(latencies, 0.99);
 
-    if (cluster.alive(0)) {
-        const std::string metrics = cluster.rpc(0).metrics_json();
-        cell.net_bytes_sent = metric_from_json(metrics, "net_tcp_bytes_sent_total");
-        cell.reconnects = metric_from_json(metrics, "net_tcp_reconnects_total");
-    }
+    const std::string metrics = cluster.rpc(0).metrics_json();
+    cell.net_bytes_sent = metric_from_json(metrics, "net_tcp_bytes_sent_total");
+    cell.reconnects = metric_from_json(metrics, "net_tcp_reconnects_total");
 
     for (const int code : cluster.stop_all())
         if (code == 0) ++cell.clean_exits;
@@ -273,23 +284,41 @@ SimCell run_nakamoto_sim(std::size_t nodes, double block_interval, double tps,
     return cell;
 }
 
-SimCell run_pbft_sim(const std::vector<TraceHost::Entry>& trace,
-                     double duration, std::uint64_t seed) {
-    consensus::PbftConfig config;
-    config.f = 1; // n = 4, the cluster size
-    consensus::PbftCluster cluster(config, seed);
-    for (const auto& entry : trace) {
-        if (entry.at > cluster.now())
-            cluster.run_for(entry.at - cluster.now());
-        cluster.submit(encode_to_bytes(entry.tx));
+/// The PBFT prediction runs the daemons' own code: four core::Replica over a
+/// simulated full mesh, fed the trace at its virtual times.
+SimCell run_pbft_sim(std::size_t nodes, double block_interval,
+                     const std::vector<TraceHost::Entry>& trace, double duration,
+                     const std::filesystem::path& work_dir, std::uint64_t seed) {
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(seed));
+    net::transport::SimTransportHub hub(network, nodes);
+    network.build_full_mesh();
+    std::vector<std::unique_ptr<core::Replica>> replicas;
+    for (std::uint32_t id = 0; id < nodes; ++id) {
+        core::ReplicaConfig config;
+        config.engine = core::ReplicaEngine::kPbft;
+        config.node_count = static_cast<std::uint32_t>(nodes);
+        config.block_interval = block_interval;
+        config.data_dir = work_dir / ("n" + std::to_string(id));
+        config.seed = seed;
+        replicas.push_back(std::make_unique<core::Replica>(hub.endpoint(id), config));
+        replicas.back()->start();
     }
-    cluster.run_for(5.0); // drain
+    for (const auto& entry : trace)
+        scheduler.schedule_at(entry.at, [&replicas, &entry, nodes] {
+            replicas[entry.node % nodes]->submit_transaction(entry.tx);
+        });
+    scheduler.run_until(duration + 5.0); // drain
 
     SimCell cell;
-    cell.confirmed = cluster.executed_requests(0);
+    cell.confirmed = replicas[0]->confirmed_txs();
     cell.tps = bench::rate_per_sec(static_cast<double>(cell.confirmed), duration);
-    const auto lat = cluster.lifecycle().latencies(obs::TxStage::kSubmitted,
-                                                   obs::TxStage::kIncluded);
+    std::vector<double> lat;
+    for (const auto& r : replicas) {
+        r->stop();
+        lat.insert(lat.end(), r->confirmation_latencies().begin(),
+                   r->confirmation_latencies().end());
+    }
     cell.p50 = percentile(lat, 0.50);
     cell.p99 = percentile(lat, 0.99);
     return cell;
@@ -332,8 +361,9 @@ int main() {
 
     // Cell 1: Nakamoto over sockets vs the NakamotoNetwork prediction.
     const ClusterCell nk = run_cluster_cell(core::ReplicaEngine::kNakamoto,
-                                            nodes, interval, trace,
-                                            dirs.path / "nakamoto", false, settle);
+                                            nodes, interval, trace, duration,
+                                            dirs.path / "nakamoto", std::nullopt,
+                                            settle);
     const SimCell nk_sim = run_nakamoto_sim(nodes, interval, offered_tps,
                                             duration, 29);
     table.row({"cluster", "nakamoto", bench::fmt_int(nk.confirmed),
@@ -344,11 +374,12 @@ int main() {
                bench::fmt(nk_sim.tps, 1), bench::fmt(nk_sim.p50, 3),
                bench::fmt(nk_sim.p99, 3), "-", "-"});
 
-    // Cell 2: PBFT over sockets vs the PbftCluster prediction.
+    // Cell 2: PBFT over sockets vs the same replicas over the simulator.
     const ClusterCell pb = run_cluster_cell(core::ReplicaEngine::kPbft, nodes,
-                                            interval, trace,
-                                            dirs.path / "pbft", false, settle);
-    const SimCell pb_sim = run_pbft_sim(trace, duration, 29);
+                                            interval, trace, duration,
+                                            dirs.path / "pbft", std::nullopt, settle);
+    const SimCell pb_sim =
+        run_pbft_sim(nodes, interval, trace, duration, dirs.path / "pbft-sim", 29);
     table.row({"cluster", "pbft", bench::fmt_int(pb.confirmed),
                bench::fmt(pb.tps, 1), bench::fmt(pb.p50, 3), bench::fmt(pb.p99, 3),
                pb.digests_agree ? "agree" : "DISAGREE",
@@ -361,18 +392,33 @@ int main() {
     // ports, and require LSM/WAL recovery plus catch-up to digest agreement.
     int killed_exit = 0;
     const ClusterCell kr = run_cluster_cell(core::ReplicaEngine::kNakamoto,
-                                            nodes, interval, trace,
-                                            dirs.path / "rejoin", true, settle,
+                                            nodes, interval, trace, duration,
+                                            dirs.path / "rejoin", nodes - 1, settle,
                                             &killed_exit);
     table.row({"kill+rejoin", "nakamoto", bench::fmt_int(kr.confirmed),
                bench::fmt(kr.tps, 1), bench::fmt(kr.p50, 3), bench::fmt(kr.p99, 3),
                kr.digests_agree ? "agree" : "DISAGREE",
                bench::fmt_int(kr.clean_exits)});
+
+    // Cell 4: kill the PBFT primary; the survivors must change view, and the
+    // restarted node must catch up. The drain allows for the view-change
+    // timeout on top of the usual settle time.
+    int failover_exit = 0;
+    const ClusterCell fo = run_cluster_cell(
+        core::ReplicaEngine::kPbft, nodes, interval, trace, duration,
+        dirs.path / "failover", 0,
+        settle + consensus::PbftConfig{}.view_change_timeout, &failover_exit);
+    table.row({"failover", "pbft", bench::fmt_int(fo.confirmed),
+               bench::fmt(fo.tps, 1), bench::fmt(fo.p50, 3), bench::fmt(fo.p99, 3),
+               fo.digests_agree ? "agree" : "DISAGREE",
+               bench::fmt_int(fo.clean_exits)});
     table.print();
 
     std::printf("\nnode-0 transport: %.0f bytes sent, %.0f reconnects "
-                "(nakamoto cell); killed node exit %d (expected %d)\n",
-                nk.net_bytes_sent, nk.reconnects, killed_exit, -SIGKILL);
+                "(nakamoto cell); killed node exits %d, %d (expected %d); "
+                "view changes after failover %.0f\n",
+                nk.net_bytes_sent, nk.reconnects, killed_exit, failover_exit,
+                -SIGKILL, fo.view_changes);
 
     run.metric("nakamoto_wall_tps", nk.tps);
     run.metric("nakamoto_wall_p50_s", nk.p50);
@@ -402,6 +448,18 @@ int main() {
     const bool rejoin_ok = kr.digests_agree && killed_exit == -SIGKILL &&
                            kr.clean_exits == nodes;
     run.metric("rejoin_success", static_cast<std::uint64_t>(rejoin_ok));
+    run.metric("pbft_failover_accepted", fo.accepted);
+    run.metric("pbft_failover_confirmed", fo.confirmed);
+    run.metric("pbft_failover_all_confirmed",
+               static_cast<std::uint64_t>(fo.all_confirmed));
+    run.metric("pbft_failover_digests_agree",
+               static_cast<std::uint64_t>(fo.digests_agree));
+    run.metric("pbft_failover_clean_exits", static_cast<std::uint64_t>(fo.clean_exits));
+    run.metric("pbft_failover_view_changes", fo.view_changes);
+    const bool failover_ok = fo.all_confirmed && fo.digests_agree &&
+                             fo.clean_exits == nodes && fo.view_changes >= 1 &&
+                             failover_exit == -SIGKILL;
+    run.metric("pbft_failover_success", static_cast<std::uint64_t>(failover_ok));
 
     run.write_json();
     obs_env.write_artifacts();
