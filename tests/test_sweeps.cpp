@@ -145,6 +145,10 @@ struct VmCase {
     std::uint64_t expected;
 };
 
+// Named by the case, not by its raw bytes: those hold string addresses, which change
+// from run to run and would make the discovered test names unstable.
+void PrintTo(const VmCase& test_case, std::ostream* os) { *os << test_case.name; }
+
 class VmArithmetic : public ::testing::TestWithParam<VmCase> {};
 
 class SinkHost : public contract::HostInterface {
@@ -189,10 +193,7 @@ INSTANTIATE_TEST_SUITE_P(
         VmCase{"and_logic", "PUSH 3\nPUSH 5\nAND\nRETURN", 1},
         VmCase{"or_logic", "PUSH 0\nPUSH 0\nOR\nRETURN", 0},
         VmCase{"dup", "PUSH 6\nDUP 0\nADD\nRETURN", 12},
-        VmCase{"swap", "PUSH 3\nPUSH 10\nSWAP 1\nSUB\nRETURN", 7}),
-    [](const ::testing::TestParamInfo<VmCase>& info) {
-        return info.param.name;
-    });
+        VmCase{"swap", "PUSH 3\nPUSH 10\nSWAP 1\nSUB\nRETURN", 7}));
 
 // --- Mining model validation (real grind vs exponential race) -----------------------------
 
