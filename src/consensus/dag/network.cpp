@@ -458,46 +458,19 @@ ledger::Block DagNetwork::assemble_record(NodeId node) {
         select_parents(peer.store->tips(), params_.max_parents, peer.rng,
                        peer.store.get(), &store_blue_score);
 
-    Block block;
-    set_parents(block.header, parents);
-    std::uint64_t height = 0;
+    ledger::BlockHeader header;
+    set_parents(header, parents);
     for (const Hash256& p : parents)
-        height = std::max(height, peer.store->entry(p).height + 1);
-    block.header.height = height;
-    block.header.timestamp = scheduler_.now();
-    block.header.bits = genesis_.header.bits;
-    block.header.nonce = peer.rng.next(); // simulated proof, as in Nakamoto
-    block.header.proposer = peer.miner;
-
-    peer.mempool.expire(scheduler_.now());
-    const std::size_t budget = params_.max_block_bytes > 512
-                                   ? params_.max_block_bytes - 512
-                                   : params_.max_block_bytes;
-    const auto candidates =
-        peer.mempool.build_template(budget, params_.max_block_txs);
-    ledger::UtxoSet scratch = peer.utxo;
-    ledger::UtxoUndo scratch_undo;
-    ledger::Amount fees = 0;
-    std::vector<Transaction> chosen;
-    for (const auto& entry : candidates) {
-        try {
-            fees += scratch.check_and_apply(*entry.tx, scratch_undo);
-            chosen.push_back(*entry.tx);
-        } catch (const ValidationError&) {
-            // Stale against the current linear order; skip.
-        }
-    }
-
-    const ledger::Amount reward = ledger::block_subsidy(height) + fees;
-    Transaction coinbase = ledger::make_coinbase(peer.miner, reward, height);
-    // Parallel records can share (height, proposer, reward); salt the nonce so
-    // every record's coinbase txid is unique.
-    coinbase.nonce = peer.rng.next();
-    coinbase.invalidate_txid_cache();
-    block.txs.push_back(std::move(coinbase));
-    for (auto& tx : chosen) block.txs.push_back(std::move(tx));
-    block.header.merkle_root = block.compute_merkle_root();
-    return block;
+        header.height = std::max(header.height, peer.store->entry(p).height + 1);
+    header.timestamp = scheduler_.now();
+    header.bits = genesis_.header.bits;
+    header.nonce = peer.rng.next(); // simulated proof, as in Nakamoto
+    header.proposer = peer.miner;
+    // Parallel records can share (height, proposer, reward); salt the
+    // coinbase nonce so every record's coinbase txid is unique.
+    const std::uint64_t salt = peer.rng.next();
+    return ledger::build_block(header, peer.mempool, peer.utxo,
+                               params_.max_block_bytes, params_.max_block_txs, salt);
 }
 
 ChainEvents* DagNetwork::find_events(NodeId node) {

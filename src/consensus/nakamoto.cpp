@@ -423,41 +423,15 @@ ledger::Block NakamotoNetwork::assemble_block(NodeId node) {
     const auto* tip_entry = peer.chain->find(peer.active_tip);
     DLT_INVARIANT(tip_entry != nullptr);
 
-    Block block;
-    block.header.prev_hash = peer.active_tip;
-    block.header.height = tip_entry->height + 1;
-    block.header.timestamp = scheduler_.now();
-    block.header.bits = next_bits(node, peer.active_tip);
-    block.header.nonce = peer.rng.next(); // simulated proof (see DESIGN.md)
-    block.header.proposer = peer.miner;
-
-    // Feerate-ordered template straight off the mempool's maintained index
-    // (no per-block re-sort); only transactions that remain valid in order
-    // are copied into the block.
-    peer.mempool.expire(scheduler_.now());
-    const std::size_t budget = params_.max_block_bytes > 512
-                                   ? params_.max_block_bytes - 512
-                                   : params_.max_block_bytes;
-    const auto candidates =
-        peer.mempool.build_template(budget, params_.max_block_txs);
-    ledger::UtxoSet scratch = peer.utxo;
-    ledger::UtxoUndo scratch_undo;
-    ledger::Amount fees = 0;
-    std::vector<Transaction> chosen;
-    for (const auto& entry : candidates) {
-        try {
-            fees += scratch.check_and_apply(*entry.tx, scratch_undo);
-            chosen.push_back(*entry.tx);
-        } catch (const ValidationError&) {
-            // Stale mempool entry (already spent on this branch); skip it.
-        }
-    }
-
-    const ledger::Amount reward = ledger::block_subsidy(block.header.height) + fees;
-    block.txs.push_back(ledger::make_coinbase(peer.miner, reward, block.header.height));
-    for (auto& tx : chosen) block.txs.push_back(std::move(tx));
-    block.header.merkle_root = block.compute_merkle_root();
-    return block;
+    ledger::BlockHeader header;
+    header.prev_hash = peer.active_tip;
+    header.height = tip_entry->height + 1;
+    header.timestamp = scheduler_.now();
+    header.bits = next_bits(node, peer.active_tip);
+    header.nonce = peer.rng.next(); // simulated proof (see DESIGN.md)
+    header.proposer = peer.miner;
+    return ledger::build_block(header, peer.mempool, peer.utxo,
+                               params_.max_block_bytes, params_.max_block_txs);
 }
 
 const Hash256& NakamotoNetwork::tip_of(NodeId node) const {

@@ -136,35 +136,24 @@ bool Replica::submit_transaction(const Transaction& tx) {
 }
 
 ledger::Block Replica::assemble_block() {
-    Block block;
-    block.header.prev_hash = node_.tip();
-    block.header.height = node_.height() + 1;
-    block.header.timestamp = transport_.now();
-    block.header.bits = config_.genesis_bits;
-    block.header.nonce = rng_.next(); // simulated proof, as in the simulator
-    block.header.proposer = miner_;
+    ledger::BlockHeader header;
+    header.prev_hash = node_.tip();
+    header.height = node_.height() + 1;
+    header.timestamp = transport_.now();
+    header.bits = config_.genesis_bits;
+    header.nonce = rng_.next(); // simulated proof, as in the simulator
+    header.proposer = miner_;
+    return ledger::build_block(header, mempool_, node_.utxo(), config_.max_block_bytes,
+                               config_.max_block_txs);
+}
 
-    const std::size_t budget = config_.max_block_bytes > 512
-                                   ? config_.max_block_bytes - 512
-                                   : config_.max_block_bytes;
-    const auto candidates = mempool_.build_template(budget, config_.max_block_txs);
-    ledger::UtxoSet scratch = node_.utxo();
-    ledger::UtxoUndo scratch_undo;
-    ledger::Amount fees = 0;
-    std::vector<Transaction> chosen;
-    for (const auto& entry : candidates) {
-        try {
-            fees += scratch.check_and_apply(*entry.tx, scratch_undo);
-            chosen.push_back(*entry.tx);
-        } catch (const ValidationError&) {
-            // Stale mempool entry on this branch; skip it.
-        }
-    }
-    const ledger::Amount reward = ledger::block_subsidy(block.header.height) + fees;
-    block.txs.push_back(ledger::make_coinbase(miner_, reward, block.header.height));
-    for (auto& tx : chosen) block.txs.push_back(std::move(tx));
-    block.header.merkle_root = block.compute_merkle_root();
-    return block;
+void Replica::check_on_tip(const Block& block) const {
+    // Full validation against just the tip's outputs the block spends.
+    ledger::UtxoSet coins;
+    for (const Transaction& tx : block.txs) coins.fetch_inputs(node_.utxo(), tx);
+    ledger::connect_block(block, coins, rules_);
+    if (block.header.prev_hash != node_.tip())
+        throw ValidationError("block does not extend the tip");
 }
 
 void Replica::connected(const Block& block) {
@@ -353,6 +342,7 @@ void Replica::nk_update_active_tip() {
         for (const Hash256& h : path.connect) {
             const auto* entry = chain_.find(h);
             try {
+                check_on_tip(entry->block); // apply_block skips the coinbase ceiling
                 node_.connect_block(entry->block);
             } catch (const Error&) {
                 nk_mark_invalid(h); // contextually invalid: taint the subtree
@@ -412,14 +402,8 @@ bool Replica::accepts(std::uint64_t seq, const std::vector<Bytes>& batch) {
     if (batch.size() != 1 || seq != node_.height() + 1) return false;
     try {
         const Block block = decode_from_bytes<Block>(ByteView(batch[0]));
-        // Full validation against just the tip's outputs the block spends.
-        ledger::UtxoSet spent;
-        for (const Transaction& tx : block.txs)
-            for (const ledger::TxInput& in : tx.inputs)
-                if (const auto out = node_.utxo().lookup(in.prevout))
-                    spent.insert_raw(in.prevout, *out);
-        ledger::connect_block(block, spent, rules_);
-        return block.header.height == seq && block.header.prev_hash == node_.tip();
+        check_on_tip(block);
+        return block.header.height == seq;
     } catch (const Error&) {
         return false;
     }

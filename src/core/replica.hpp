@@ -9,7 +9,8 @@
 //     Poisson race (each replica holds 1/n of the hash power, so the network
 //     mines one block per block_interval in expectation), blocks flood to all
 //     peers, branches are tracked in an in-memory ChainStore and the most-work
-//     tip wins (ties to the lower hash — the network-wide rule the sim uses).
+//     tip wins (ties to the lower hash — the network-wide rule the sim uses);
+//     a block that fails check_on_tip is tainted with its subtree.
 //     Missing ancestry is fetched hop-by-hop ("getblk" walk-back), which also
 //     serves as the catch-up path after a restart or partition.
 //
@@ -114,6 +115,9 @@ private:
     void on_message(net::transport::PeerId from, const std::string& topic,
                     ByteView payload);
     ledger::Block assemble_block();
+    /// Throws ValidationError unless `block` fully validates on the durable
+    /// tip (structure, spends, coinbase ceiling) and extends it.
+    void check_on_tip(const ledger::Block& block) const;
     void connected(const ledger::Block& block);
     void disconnected(const ledger::Block& block);
     net::transport::PeerId random_peer();

@@ -146,6 +146,11 @@ void UtxoSet::insert_raw(const OutPoint& op, const TxOutput& out) {
     total_value_ += out.value;
 }
 
+void UtxoSet::fetch_inputs(const UtxoSet& from, const Transaction& tx) {
+    for (const auto& in : tx.inputs)
+        if (const auto out = from.lookup(in.prevout)) insert_raw(in.prevout, *out);
+}
+
 std::vector<std::pair<OutPoint, TxOutput>> UtxoSet::export_all() const {
     std::vector<std::pair<OutPoint, TxOutput>> all;
     all.reserve(size());

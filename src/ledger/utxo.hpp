@@ -85,6 +85,12 @@ public:
     /// Insert an entry directly (snapshot restore); overwrites silently.
     void insert_raw(const OutPoint& op, const TxOutput& out);
 
+    /// Copy in the entries of `from` that `tx`'s inputs name (one lookup per
+    /// input). Filled for every transaction of a block or template, this set
+    /// validates them in order exactly as `from` would, without copying it:
+    /// each outpoint a check reads was fetched, and both sets change it alike.
+    void fetch_inputs(const UtxoSet& from, const Transaction& tx);
+
     /// Check a transaction against the set: inputs exist, no intra-tx double
     /// spends, value in >= value out. Returns the fee (inputs - outputs) on
     /// success; throws ValidationError otherwise. Coinbases return 0.

@@ -132,4 +132,34 @@ UtxoUndo connect_block(const Block& block, UtxoSet& utxo,
     return undo;
 }
 
+Block build_block(const BlockHeader& header, Mempool& mempool, const UtxoSet& state,
+                  std::size_t max_bytes, std::size_t max_txs,
+                  std::optional<std::uint64_t> coinbase_nonce) {
+    mempool.expire(header.timestamp);
+    const std::size_t budget = max_bytes > 512 ? max_bytes - 512 : max_bytes;
+    const auto candidates = mempool.build_template(budget, max_txs);
+    UtxoSet coins;
+    for (const auto& entry : candidates) coins.fetch_inputs(state, *entry.tx);
+
+    Block block;
+    block.header = header;
+    block.txs.emplace_back(); // the coinbase, once the fees are known
+    UtxoUndo undo;
+    Amount fees = 0;
+    for (const auto& entry : candidates) {
+        try {
+            fees += coins.check_and_apply(*entry.tx, undo);
+            block.txs.push_back(*entry.tx);
+        } catch (const ValidationError&) {
+            // Stale on this branch; skip it.
+        }
+    }
+    Transaction& coinbase = block.txs.front();
+    coinbase = make_coinbase(header.proposer, block_subsidy(header.height) + fees,
+                             header.height);
+    if (coinbase_nonce) coinbase.nonce = *coinbase_nonce;
+    block.header.merkle_root = block.compute_merkle_root();
+    return block;
+}
+
 } // namespace dlt::ledger

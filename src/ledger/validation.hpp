@@ -1,11 +1,14 @@
 // Consensus-agnostic block validation rules (the "System layer" checks every
 // peer runs before accepting a block, §2.2/§2.4): structural limits, Merkle
-// root integrity, coinbase policy, and signature checking policy.
+// root integrity, coinbase policy, and signature checking policy; plus the
+// block builder every engine produces its blocks with.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "ledger/block.hpp"
+#include "ledger/mempool.hpp"
 #include "ledger/utxo.hpp"
 
 namespace dlt::ledger {
@@ -45,5 +48,17 @@ bool verify_batch_signatures(const std::vector<Transaction>& txs);
 /// undo data. Throws ValidationError; the UTXO set is unchanged on failure.
 UtxoUndo connect_block(const Block& block, UtxoSet& utxo,
                        const ValidationRules& rules);
+
+/// Block production for every engine (§2.2, Fig. 2). `header` is the
+/// engine's (parents, height, timestamp, bits, nonce, proposer). Expires the
+/// pool at the header's timestamp, takes its template within `max_txs` and
+/// `max_bytes` less 512 (room for header and coinbase), and keeps each
+/// candidate that still applies in order on `state`, skipping stale ones.
+/// The coinbase pays the proposer the subsidy plus the kept fees, its nonce
+/// set to `coinbase_nonce` when given. The walk reads `state` only through
+/// UtxoSet::fetch_inputs, so the live state is never copied.
+Block build_block(const BlockHeader& header, Mempool& mempool, const UtxoSet& state,
+                  std::size_t max_bytes, std::size_t max_txs,
+                  std::optional<std::uint64_t> coinbase_nonce = std::nullopt);
 
 } // namespace dlt::ledger

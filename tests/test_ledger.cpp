@@ -1,8 +1,13 @@
 // Tests for the ledger (data layer): transactions, blocks, difficulty encoding
 // and retargeting, the UTXO set with apply/undo, chain store branch tracking
-// (longest-chain and GHOST selection), mempool policy, and block validation.
+// (longest-chain and GHOST selection), mempool policy, block validation, and
+// the block builder every engine produces blocks with.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <filesystem>
 #include <map>
 #include <set>
 
@@ -17,6 +22,7 @@
 #include "ledger/transaction.hpp"
 #include "ledger/utxo.hpp"
 #include "ledger/validation.hpp"
+#include "storage/lsm_backend.hpp"
 
 namespace {
 
@@ -648,6 +654,337 @@ TEST(Validation, SignedChainConnects) {
     const Block b2 = chain_block(b1, {spend}, 500);
     EXPECT_NO_THROW(connect_block(b2, utxo, rules));
     EXPECT_EQ(utxo.balance_of(kAlice.address()), coins[0].second.value - 500);
+}
+
+// --- Block builder ----------------------------------------------------------------
+
+/// The copy-based template walk each engine ran before build_block existed,
+/// kept as the reference the builder must match block for block.
+Block build_block_by_copy(const BlockHeader& header, Mempool& mempool,
+                          const UtxoSet& state, std::size_t max_bytes,
+                          std::size_t max_txs) {
+    mempool.expire(header.timestamp);
+    const std::size_t budget = max_bytes > 512 ? max_bytes - 512 : max_bytes;
+    const auto candidates = mempool.build_template(budget, max_txs);
+    UtxoSet scratch = state;
+    UtxoUndo scratch_undo;
+    Amount fees = 0;
+    std::vector<Transaction> chosen;
+    for (const auto& entry : candidates) {
+        try {
+            fees += scratch.check_and_apply(*entry.tx, scratch_undo);
+            chosen.push_back(*entry.tx);
+        } catch (const ValidationError&) {
+        }
+    }
+    Block block;
+    block.header = header;
+    block.txs.push_back(make_coinbase(header.proposer,
+                                      block_subsidy(header.height) + fees, header.height));
+    for (auto& tx : chosen) block.txs.push_back(std::move(tx));
+    block.header.merkle_root = block.compute_merkle_root();
+    return block;
+}
+
+using Coins = std::vector<std::pair<OutPoint, TxOutput>>;
+
+/// The set's entries in outpoint order, so every backend draws the same coins.
+Coins sorted_coins(const UtxoSet& state) {
+    Coins coins = state.export_all();
+    std::sort(coins.begin(), coins.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return coins;
+}
+
+/// A transfer of `spends` (worth `in_value`) paying `fee`; `serial` keeps
+/// txids distinct.
+Transaction pay(const std::vector<OutPoint>& spends, Amount in_value, Amount fee,
+                std::uint64_t& serial) {
+    Transaction tx = make_transfer(spends, {TxOutput{in_value - fee, kAlice.address()}});
+    tx.nonce = ++serial;
+    tx.declared_fee = fee;
+    return tx;
+}
+
+/// Seeded pool traffic over `coins`: plain spends, chains whose child outbids
+/// (so precedes) its parent, double-spend attempts, spends of unknown
+/// outpoints, duplicate inputs, overspends, and records.
+std::vector<Transaction> random_traffic(Rng& rng, const Coins& coins, std::size_t count,
+                                        std::uint64_t& serial) {
+    std::vector<Transaction> txs;
+    const auto coin = [&]() -> const auto& { return coins[rng.index(coins.size())]; };
+    const auto fee = [&] { return static_cast<Amount>(1'000 + rng.uniform(9'000)); };
+    while (txs.size() < count) {
+        const auto& [op, out] = coin();
+        const Amount f = fee();
+        switch (rng.uniform(8)) {
+        case 0:
+        case 1: {
+            const auto& [op2, out2] = coin();
+            txs.push_back(pay({op, op2}, out.value + out2.value, f, serial));
+            break;
+        }
+        case 2: { // parent, child and grandchild; the child pays most
+            const Transaction parent = pay({op}, out.value, f, serial);
+            const Transaction child =
+                pay({OutPoint{parent.txid(), 0}}, out.value - f, 10 * f, serial);
+            const Transaction grandchild =
+                pay({OutPoint{child.txid(), 0}}, out.value - 11 * f, f / 2, serial);
+            txs.insert(txs.end(), {grandchild, child, parent});
+            break;
+        }
+        case 3: { // a chain in feerate order: the child pays less
+            const Transaction parent = pay({op}, out.value, f, serial);
+            txs.push_back(parent);
+            txs.push_back(pay({OutPoint{parent.txid(), 0}}, out.value - f, f / 2, serial));
+            break;
+        }
+        case 4: // two spends of one coin: the pool keeps one (RBF or refusal)
+            txs.push_back(pay({op}, out.value, f, serial));
+            txs.push_back(pay({op}, out.value, rng.chance(0.5) ? 3 * f : f / 2, serial));
+            break;
+        case 5: { // an outpoint no set holds
+            const OutPoint unknown{crypto::sha256(to_bytes("unknown" + std::to_string(++serial))), 0};
+            txs.push_back(pay({unknown}, kCoin, f, serial));
+            break;
+        }
+        case 6: // one coin named twice, or outputs above inputs
+            txs.push_back(rng.chance(0.5) ? pay({op, op}, 2 * out.value, f, serial)
+                                          : pay({op}, out.value + kCoin, f, serial));
+            break;
+        default: { // a record; some name a coin they do not spend
+            Transaction record;
+            record.kind = TxKind::kRecord;
+            record.sender_pubkey = to_bytes("sender" + std::to_string(++serial));
+            record.data = Bytes(32, static_cast<std::uint8_t>(serial));
+            record.declared_fee = f;
+            if (rng.chance(0.3)) record.inputs.push_back(TxInput{op, {}, {}});
+            txs.push_back(record);
+        }
+        }
+    }
+    return txs;
+}
+
+/// A state of `count` seeded coins (values 1-10 coins) on `backend`.
+UtxoSet seeded_state(std::unique_ptr<StateBackend> backend, Rng& rng, std::size_t count) {
+    UtxoSet state(std::move(backend));
+    for (std::size_t i = 0; i < count; ++i)
+        state.insert_raw(OutPoint{crypto::sha256(to_bytes("coin" + std::to_string(i))),
+                                  static_cast<std::uint32_t>(i % 3)},
+                         TxOutput{static_cast<Amount>((1 + rng.uniform(10)) * kCoin),
+                                  kBob.address()});
+    state.commit(1, {});
+    return state;
+}
+
+BlockHeader next_header(const Block& parent, double now, Rng& rng) {
+    BlockHeader header;
+    header.prev_hash = parent.hash();
+    header.height = parent.header.height + 1;
+    header.timestamp = now;
+    header.nonce = rng.next();
+    header.proposer = kMiner.address();
+    return header;
+}
+
+struct ScratchDir {
+    std::filesystem::path path;
+    ScratchDir() {
+        static std::atomic<unsigned> counter{0};
+        path = std::filesystem::temp_directory_path() /
+               ("dlt-ledger-test-" + std::to_string(::getpid()) + "-" +
+                std::to_string(counter.fetch_add(1)));
+        std::filesystem::create_directories(path);
+    }
+    ~ScratchDir() {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+};
+
+// Small enough that the count limit binds in most rounds and the byte budget
+// in the rest.
+constexpr std::size_t kBlockBytes = 2'500;
+constexpr std::size_t kBlockTxs = 16;
+
+// Builds blocks from twin pools with both the builder and the copy-based
+// reference, on the in-memory and the LSM backend, and connects each block
+// plus a rival block that spends some of the pool's coins, so later templates
+// hold stale entries.
+TEST(BlockBuilder, MatchesTheCopyBasedWalkOnEveryBackend) {
+    ValidationRules rules;
+    rules.sig_mode = SigCheckMode::kSkip;
+    std::size_t kept = 0;
+    std::size_t skipped = 0;
+    for (const bool lsm : {false, true}) {
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            SCOPED_TRACE((lsm ? "lsm seed " : "memory seed ") + std::to_string(seed));
+            ScratchDir dir;
+            Rng rng(seed);
+            UtxoSet state = seeded_state(
+                lsm ? std::unique_ptr<StateBackend>(std::make_unique<storage::LsmBackend>(
+                          dir.path, storage::LsmOptions{.memtable_limit = 16,
+                                                        .fsync = storage::FsyncMode::kNever}))
+                    : std::make_unique<ShardedMemoryBackend>(),
+                rng, 40);
+            const MempoolConfig config{.expiry = 25.0};
+            Mempool pool(config);
+            Mempool reference_pool(config);
+            Block tip = make_genesis("builder-test", easy_bits(2));
+            std::uint64_t serial = 0;
+            for (int round = 0; round < 4; ++round) {
+                const double now = 10.0 * (round + 1);
+                for (const Transaction& tx :
+                     random_traffic(rng, sorted_coins(state), 30, serial)) {
+                    pool.admit(tx, now - 5.0);
+                    reference_pool.admit(tx, now - 5.0);
+                }
+                const BlockHeader header = next_header(tip, now, rng);
+                const Bytes state_before = encode_to_bytes(state);
+                const std::size_t candidates =
+                    pool.build_template(kBlockBytes - 512, kBlockTxs).size();
+                const Block built = build_block(header, pool, state, kBlockBytes, kBlockTxs);
+                const Block reference = build_block_by_copy(header, reference_pool, state,
+                                                            kBlockBytes, kBlockTxs);
+                ASSERT_EQ(encode_to_bytes(built), encode_to_bytes(reference)) << "round " << round;
+                EXPECT_EQ(encode_to_bytes(state), state_before);
+                EXPECT_EQ(pool.size(), reference_pool.size());
+                kept += built.txs.size() - 1;
+                skipped += candidates - (built.txs.size() - 1);
+
+                connect_block(built, state, rules);
+                std::vector<Hash256> ids;
+                for (const Transaction& tx : built.txs) ids.push_back(tx.txid());
+                pool.remove_confirmed(ids);
+                reference_pool.remove_confirmed(ids);
+
+                // A rival block spends up to three coins, so pool entries that
+                // spend them go stale.
+                std::vector<Transaction> rival_spends;
+                for (const auto& [op, out] : sorted_coins(state))
+                    if (rival_spends.size() < 3 && rng.chance(0.2))
+                        rival_spends.push_back(pay({op}, out.value, 0, serial));
+                Block rival;
+                rival.header = next_header(built, now, rng);
+                rival.txs.push_back(make_coinbase(kBob.address(), kCoin, rival.header.height));
+                rival.txs.insert(rival.txs.end(), rival_spends.begin(), rival_spends.end());
+                rival.header.merkle_root = rival.compute_merkle_root();
+                connect_block(rival, state, rules);
+                state.commit(2 + round, {});
+                tip = rival;
+            }
+        }
+    }
+    EXPECT_GT(kept, 0u);
+    EXPECT_GT(skipped, 0u); // the stale-skip path ran
+}
+
+/// A backend that counts point reads and fails the test on any copy, scan or
+/// write once armed.
+class ProbeBackend final : public StateBackend {
+public:
+    bool armed = false;
+    mutable std::size_t gets = 0;
+
+    const char* name() const override { return "probe"; }
+    std::optional<TxOutput> get(const OutPoint& op) const override {
+        gets += armed;
+        return inner_.get(op);
+    }
+    bool insert_if_absent(const OutPoint& op, const TxOutput& out) override {
+        refuse("insert_if_absent");
+        return inner_.insert_if_absent(op, out);
+    }
+    std::optional<TxOutput> put(const OutPoint& op, const TxOutput& out) override {
+        refuse("put");
+        return inner_.put(op, out);
+    }
+    std::optional<TxOutput> erase(const OutPoint& op) override {
+        refuse("erase");
+        return inner_.erase(op);
+    }
+    std::uint64_t size() const override { return inner_.size(); }
+    void for_each(const Visitor& visit) const override {
+        refuse("for_each");
+        inner_.for_each(visit);
+    }
+    void for_each_sorted(const Visitor& visit) const override {
+        refuse("for_each_sorted");
+        inner_.for_each_sorted(visit);
+    }
+    std::unique_ptr<StateBackend> clone() const override {
+        refuse("clone");
+        return inner_.clone();
+    }
+
+private:
+    void refuse(const char* call) const {
+        if (armed) ADD_FAILURE() << call << " on the live state";
+    }
+    ShardedMemoryBackend inner_;
+};
+
+TEST(BlockBuilder, ReadsOnlyTheCoinsTheCandidatesSpend) {
+    auto backend = std::make_unique<ProbeBackend>();
+    ProbeBackend& probe = *backend;
+    Rng rng(7);
+    const UtxoSet state = seeded_state(std::move(backend), rng, 40);
+    Mempool pool;
+    std::uint64_t serial = 0;
+    for (const Transaction& tx : random_traffic(rng, sorted_coins(state), 40, serial))
+        pool.add(tx);
+    std::size_t candidate_inputs = 0;
+    for (const auto& entry : pool.build_template(kBlockBytes - 512, kBlockTxs))
+        candidate_inputs += entry.tx->inputs.size();
+
+    probe.armed = true;
+    const Block block = build_block(next_header(make_genesis("builder-test", easy_bits(2)), 1.0, rng),
+                                    pool, state, kBlockBytes, kBlockTxs);
+    EXPECT_GT(probe.gets, 0u);
+    EXPECT_LE(probe.gets, candidate_inputs);
+    EXPECT_GT(block.txs.size(), 1u);
+
+    // The proposal check a replica runs reads the same way: one get per input.
+    probe.gets = 0;
+    std::size_t block_inputs = 0;
+    UtxoSet coins;
+    for (const Transaction& tx : block.txs) {
+        coins.fetch_inputs(state, tx);
+        block_inputs += tx.inputs.size();
+    }
+    ValidationRules rules;
+    rules.sig_mode = SigCheckMode::kSkip;
+    EXPECT_NO_THROW(connect_block(block, coins, rules));
+    EXPECT_EQ(probe.gets, block_inputs);
+    probe.armed = false;
+}
+
+TEST(BlockBuilder, SaltedCoinbaseKeepsTheBlockValid) {
+    // The DAG salts each record's coinbase nonce, so parallel records at one
+    // height from one proposer never share a coinbase txid.
+    Rng rng(11);
+    const UtxoSet state = seeded_state(std::make_unique<ShardedMemoryBackend>(), rng, 4);
+    const auto coins = sorted_coins(state);
+    std::uint64_t serial = 0;
+    Mempool pool;
+    ASSERT_TRUE(pool.add(pay({coins[0].first}, coins[0].second.value, 2'500, serial)));
+    const BlockHeader header = next_header(make_genesis("builder-test", easy_bits(2)), 1.0, rng);
+
+    const Block plain = build_block(header, pool, state, kBlockBytes, kBlockTxs);
+    const Block salted = build_block(header, pool, state, kBlockBytes, kBlockTxs, 0xfeed);
+    EXPECT_EQ(plain.txs[0].nonce, header.height);
+    EXPECT_EQ(salted.txs[0].nonce, 0xfeedu);
+    EXPECT_NE(salted.txs[0].txid(), plain.txs[0].txid());
+    const std::vector<TxOutput> payout{{block_subsidy(1) + 2'500, kMiner.address()}};
+    EXPECT_EQ(salted.txs[0].outputs, payout);
+    EXPECT_EQ(salted.txs.size(), 2u);
+    EXPECT_EQ(salted.header.merkle_root, salted.compute_merkle_root());
+
+    ValidationRules rules;
+    rules.sig_mode = SigCheckMode::kSkip;
+    UtxoSet copy = state;
+    EXPECT_NO_THROW(connect_block(salted, copy, rules));
 }
 
 } // namespace

@@ -503,6 +503,56 @@ TEST(ReplicaSim, NakamotoConvergesOverSimTransport) {
     EXPECT_FALSE(replicas[0]->confirmation_latencies().empty());
 }
 
+TEST(ReplicaSim, NakamotoRefusesAnOverpaidCoinbase) {
+    // Node 0 is a raw endpoint that floods a five-block chain whose coinbases
+    // pay 1,000 times the subsidy. The three replicas must taint it and mine
+    // their own chain, on which every coinbase pays the subsidy alone.
+    TempDir dirs("replica-nakamoto-overpaid");
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(13));
+    SimTransportHub hub(network, 4);
+    network.build_full_mesh();
+    hub.endpoint(0).set_handler([](PeerId, const std::string&, ByteView) {});
+
+    std::vector<std::unique_ptr<core::Replica>> replicas;
+    for (std::uint32_t id = 1; id < 4; ++id) {
+        core::ReplicaConfig config;
+        config.engine = core::ReplicaEngine::kNakamoto;
+        config.node_count = 4;
+        config.block_interval = 1.0;
+        config.data_dir = dirs.path / ("n" + std::to_string(id));
+        replicas.push_back(std::make_unique<core::Replica>(hub.endpoint(id), config));
+    }
+    for (auto& r : replicas) r->start();
+
+    const crypto::Address thief = crypto::PrivateKey::from_seed("byzantine").address();
+    std::set<Hash256> overpaid;
+    ledger::Block parent = ledger::make_genesis("e29", 0x207fffff);
+    for (std::uint64_t height = 1; height <= 5; ++height) {
+        ledger::Block block;
+        block.header.prev_hash = parent.hash();
+        block.header.height = height;
+        block.header.bits = 0x207fffff;
+        block.txs.push_back(
+            ledger::make_coinbase(thief, 1000 * ledger::block_subsidy(height), height));
+        block.header.merkle_root = block.compute_merkle_root();
+        hub.endpoint(0).broadcast("blk", ByteView(encode_to_bytes(block)));
+        overpaid.insert(block.hash());
+        parent = block;
+    }
+    scheduler.run_until(20.0);
+    for (auto& r : replicas) r->stop();
+    scheduler.run_until(21.0);
+
+    for (const auto& r : replicas) {
+        ASSERT_GT(r->height(), 0u);
+        EXPECT_EQ(r->node().utxo().total_value(),
+                  static_cast<ledger::Amount>(r->height()) * ledger::block_subsidy(1));
+        for (const Hash256& hash : r->node().chain().path_from_genesis(r->tip()))
+            EXPECT_FALSE(overpaid.contains(hash));
+    }
+}
+
 TEST(ReplicaSim, PbftConvergesOverSimTransport) {
     TempDir dirs("replica-pbft");
     sim::Scheduler scheduler;
