@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <signal.h>
@@ -286,6 +287,9 @@ void ClusterDriver::spawn(std::size_t node) {
     args.push_back("--sync-interval");
     args.push_back(std::to_string(config_.sync_interval));
 
+    // fork() copies the page tables of our resident heap, so a child's peak
+    // RSS starts there; hand freed heap back first so the peak is the daemon's.
+    ::malloc_trim(0);
     const int pid = ::fork();
     if (pid < 0) throw Error("cluster: fork() failed");
     if (pid == 0) {
