@@ -1,7 +1,8 @@
 #include "crypto/secp256k1.hpp"
 
 #include <algorithm>
-#include <string>
+#include <cstdlib>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/error.hpp"
@@ -11,170 +12,227 @@ namespace dlt::crypto::secp256k1 {
 
 namespace {
 
-// Curve constants are function-local statics (initialized on first use) so
-// other translation units' dynamic initializers can safely call into this
-// module — a namespace-scope constant here would be subject to the static
-// initialization order fiasco.
+using u64 = std::uint64_t;
+using u128 = unsigned __int128;
 
-// p = 2^256 - 2^32 - 977
-const U256& P() {
-    static const U256 v = U256::from_hex(std::string(48, 'f') + "fffffffefffffc2f");
-    return v;
+// Curve constants are constexpr, hence constant-initialized: other translation
+// units' dynamic initializers can call into this module in any order.
+
+// p = 2^256 - 2^32 - 977, so 2^256 ≡ kPC (mod p).
+constexpr U256 kP{0xFFFFFFFEFFFFFC2Full, ~0ull, ~0ull, ~0ull};
+constexpr u64 kPC = 0x1000003D1ull;
+// n = group order; kNC = 2^256 - n (129 bits), so 2^256 ≡ kNC (mod n).
+constexpr U256 kN{0xBFD25E8CD0364141ull, 0xBAAEDCE6AF48A03Bull, 0xFFFFFFFFFFFFFFFEull,
+                  ~0ull};
+constexpr U256 kNC{0x402DA1732FC9BEBFull, 0x4551231950B75FC4ull, 1, 0};
+constexpr U256 kGx{0x59F2815B16F81798ull, 0x029BFCDB2DCE28D9ull, 0x55A06295CE870B07ull,
+                   0x79BE667EF9DCBBACull};
+constexpr U256 kGy{0x9C47D08FFB10D4B8ull, 0xFD17B448A6855419ull, 0x5DA4FBFC0E1108A8ull,
+                   0x483ADA7726A3C465ull};
+
+// The kernels below run thousands of times per signature check, so they are
+// forced inline and their fixed-count limb loops fully unrolled: limbs and
+// carries then stay in registers across a whole point formula.
+#define DLT_KERNEL [[gnu::always_inline]] inline
+#define DLT_UNROLL _Pragma("GCC unroll 8")
+
+DLT_KERNEL U256 add_carry(const U256& a, const U256& b, bool& carry) {
+    U256 r;
+    u128 acc = 0;
+    DLT_UNROLL for (std::size_t i = 0; i < 4; ++i) {
+        acc += static_cast<u128>(a.limbs[i]) + b.limbs[i];
+        r.limbs[i] = static_cast<u64>(acc);
+        acc >>= 64;
+    }
+    carry = acc != 0;
+    return r;
 }
 
-// n = group order
-const U256& N() {
-    static const U256 v =
-        U256::from_hex(std::string(31, 'f') + "ebaaedce6af48a03bbfd25e8cd0364141");
-    return v;
+DLT_KERNEL U256 sub_borrow(const U256& a, const U256& b, bool& borrow) {
+    U256 r;
+    u64 out = 0;
+    DLT_UNROLL for (std::size_t i = 0; i < 4; ++i) {
+        const u128 d = static_cast<u128>(a.limbs[i]) - b.limbs[i] - out;
+        r.limbs[i] = static_cast<u64>(d);
+        out = static_cast<u64>(d >> 127);
+    }
+    borrow = out != 0;
+    return r;
 }
 
-// 2^256 mod p = 2^32 + 977
-constexpr std::uint64_t kPComplement = 0x1000003D1ull;
-
-const U256& Gx() {
-    static const U256 v = U256::from_hex(
-        "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798");
-    return v;
+/// carry·2^256 + r, known to be below 2m, reduced mod m = 2^256 - c: adding c
+/// carries out of 256 bits exactly when the value is ≥ m, and the low 256 bits
+/// are then the value minus m. One conditional subtraction, for p and n alike.
+DLT_KERNEL U256 reduce_once(const U256& r, bool carry, const U256& c) {
+    bool over = false;
+    const U256 s = add_carry(r, c, over);
+    return carry || over ? s : r;
 }
 
-const U256& Gy() {
-    static const U256 v = U256::from_hex(
-        "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8");
-    return v;
+/// Full 512-bit product, least-significant limb first.
+DLT_KERNEL void mul_limbs(const U256& a, const U256& b, u64 (&t)[8]) {
+    std::fill(std::begin(t), std::end(t), 0);
+    DLT_UNROLL for (std::size_t i = 0; i < 4; ++i) {
+        u128 acc = 0;
+        DLT_UNROLL for (std::size_t j = 0; j < 4; ++j) {
+            acc += static_cast<u128>(a.limbs[i]) * b.limbs[j] + t[i + j];
+            t[i + j] = static_cast<u64>(acc);
+            acc >>= 64;
+        }
+        t[i + 4] = static_cast<u64>(acc);
+    }
 }
 
-/// Reduce a value known to be < 2p into [0, p).
-U256 fe_normalize(const U256& a) { return a >= P() ? a - P() : a; }
+/// hi·2^256 + lo mod p: fold hi by 2^256 ≡ kPC, fold the ≤ 34-bit overflow
+/// that leaves the same way, then subtract p at most once.
+DLT_KERNEL U256 fe_reduce(const u64 (&t)[8]) {
+    U256 r;
+    u128 acc = 0;
+    DLT_UNROLL for (std::size_t i = 0; i < 4; ++i) {
+        acc += static_cast<u128>(t[i + 4]) * kPC + t[i];
+        r.limbs[i] = static_cast<u64>(acc);
+        acc >>= 64;
+    }
+    acc *= kPC; // < 2^68
+    DLT_UNROLL for (std::size_t i = 0; i < 4; ++i) {
+        acc += r.limbs[i];
+        r.limbs[i] = static_cast<u64>(acc);
+        acc >>= 64;
+    }
+    return reduce_once(r, acc != 0, U256(kPC));
+}
 
-} // namespace
+DLT_KERNEL U256 fmul(const U256& a, const U256& b) {
+    u64 t[8];
+    mul_limbs(a, b, t);
+    return fe_reduce(t);
+}
 
-const U256& field_prime() { return P(); }
-const U256& group_order() { return N(); }
+/// Squaring: each cross product a_i·a_j (i < j) once, doubled, plus a_i².
+DLT_KERNEL U256 fsqr(const U256& a) {
+    u64 t[8] = {};
+    DLT_UNROLL for (std::size_t i = 0; i < 3; ++i) {
+        u128 acc = 0;
+        DLT_UNROLL for (std::size_t j = i + 1; j < 4; ++j) {
+            acc += static_cast<u128>(a.limbs[i]) * a.limbs[j] + t[i + j];
+            t[i + j] = static_cast<u64>(acc);
+            acc >>= 64;
+        }
+        t[i + 4] = static_cast<u64>(acc);
+    }
+    DLT_UNROLL for (std::size_t i = 7; i > 0; --i) t[i] = t[i] << 1 | t[i - 1] >> 63;
+    u128 acc = 0;
+    DLT_UNROLL for (std::size_t i = 0; i < 4; ++i) {
+        const u128 sq = static_cast<u128>(a.limbs[i]) * a.limbs[i];
+        acc += static_cast<u128>(t[2 * i]) + static_cast<u64>(sq);
+        t[2 * i] = static_cast<u64>(acc);
+        acc = (acc >> 64) + t[2 * i + 1] + static_cast<u64>(sq >> 64);
+        t[2 * i + 1] = static_cast<u64>(acc);
+        acc >>= 64;
+    }
+    return fe_reduce(t);
+}
 
-U256 fe_add(const U256& a, const U256& b) {
+/// Sum of two values below p.
+DLT_KERNEL U256 fadd(const U256& a, const U256& b) {
     bool carry = false;
-    U256 sum = a.add(b, &carry);
-    if (carry) {
-        // sum_actual = 2^256 + sum ≡ sum + kPComplement (mod p)
-        bool c2 = false;
-        sum = sum.add(U256(kPComplement), &c2);
-        // a,b < p < 2^256 - 2^32 - 976 so no second carry is possible here.
+    const U256 sum = add_carry(a, b, carry);
+    return reduce_once(sum, carry, U256(kPC));
+}
+
+/// Difference of two values below p: a borrow wrapped by 2^256 ≡ kPC, so kPC
+/// comes back off (the wrapped value exceeds kPC, so that cannot borrow).
+DLT_KERNEL U256 fsub(const U256& a, const U256& b) {
+    bool borrow = false;
+    const U256 d = sub_borrow(a, b, borrow);
+    return borrow ? sub_borrow(d, U256(kPC), borrow) : d;
+}
+
+/// out (len + 4 limbs) = lo (4 limbs) + hi (len limbs)·kNC, one fold of
+/// hi·2^256 ≡ hi·kNC (mod n).
+DLT_KERNEL void fold_n(const u64* lo, const u64* hi, std::size_t len, u64 (&out)[8]) {
+    DLT_UNROLL for (std::size_t i = 0; i < 8; ++i) out[i] = i < 4 ? lo[i] : 0;
+    DLT_UNROLL for (std::size_t i = 0; i < len; ++i) {
+        u128 acc = 0;
+        DLT_UNROLL for (std::size_t j = 0; j < 3; ++j) {
+            acc += static_cast<u128>(hi[i]) * kNC.limbs[j] + out[i + j];
+            out[i + j] = static_cast<u64>(acc);
+            acc >>= 64;
+        }
+        DLT_UNROLL for (std::size_t k = i + 3; k < len + 4; ++k) {
+            acc += out[k];
+            out[k] = static_cast<u64>(acc);
+            acc >>= 64;
+        }
     }
-    return fe_normalize(sum);
 }
 
-U256 fe_sub(const U256& a, const U256& b) {
-    if (a >= b) return a - b;
-    return a + (P() - b);
+DLT_KERNEL U256 smul(const U256& a, const U256& b) {
+    u64 t[8];
+    u64 m[8];
+    mul_limbs(a, b, t);
+    fold_n(t, t + 4, 4, m); // < 2^386: seven limbs
+    fold_n(m, m + 4, 3, t); // < 2^260: five limbs
+    fold_n(t, t + 4, 1, m); // < 2^256 + 2^133: four limbs and a carry
+    return reduce_once(U256{m[0], m[1], m[2], m[3]}, m[4] != 0, kNC);
 }
 
-U256 fe_mul(const U256& a, const U256& b) {
-    const U256::Wide prod = a.mul_wide(b);
-    // prod = hi*2^256 + lo ≡ hi*(2^32+977) + lo (mod p). hi*(2^32+977) fits in
-    // 256+34 bits; fold the overflow once more.
-    std::uint64_t carry1 = 0;
-    U256 folded = prod.hi.mul_u64(kPComplement, &carry1);
-    bool carry2 = false;
-    U256 acc = folded.add(prod.lo, &carry2);
-    std::uint64_t overflow = carry1 + (carry2 ? 1 : 0);
-    while (overflow != 0) {
-        // overflow*2^256 ≡ overflow*(2^32+977); overflow ≤ 2^34 so this terminates
-        // after one iteration in practice.
-        const U256::Wide fold2 = U256(overflow).mul_wide(U256(kPComplement));
-        bool c = false;
-        acc = acc.add(fold2.lo, &c);
-        overflow = (c ? 1 : 0) + fold2.hi.low64();
+#undef DLT_UNROLL
+#undef DLT_KERNEL
+
+/// base^exp by fixed 4-bit windows: 256 squarings and 64 multiplications
+/// whatever the exponent, for inversion (Fermat) and square roots.
+template <U256 (*Mul)(const U256&, const U256&)>
+U256 pow_fixed(const U256& base, const U256& exp) {
+    U256 window[16] = {U256(1), base};
+    for (std::size_t i = 2; i < 16; ++i) window[i] = Mul(window[i - 1], base);
+    U256 r(1);
+    for (std::size_t i = 64; i-- > 0;) {
+        for (int s = 0; s < 4; ++s) r = Mul(r, r);
+        r = Mul(r, window[(exp.limbs[i / 16] >> (4 * (i % 16))) & 0xF]);
     }
-    while (acc >= P()) acc = acc - P();
-    return acc;
+    return r;
 }
 
-U256 fe_sqr(const U256& a) { return fe_mul(a, a); }
-
-namespace {
-U256 fe_pow(const U256& base, const U256& exp) {
-    U256 result = U256::one();
-    U256 acc = fe_normalize(base);
-    const int top = exp.highest_bit();
-    for (int i = 0; i <= top; ++i) {
-        if (exp.bit(static_cast<unsigned>(i))) result = fe_mul(result, acc);
-        acc = fe_sqr(acc);
-    }
-    return result;
-}
 } // namespace
+
+const U256& field_prime() { return kP; }
+const U256& group_order() { return kN; }
+
+U256 fe_add(const U256& a, const U256& b) { return fadd(a, b); }
+U256 fe_sub(const U256& a, const U256& b) { return fsub(a, b); }
+U256 fe_mul(const U256& a, const U256& b) { return fmul(a, b); }
+U256 fe_sqr(const U256& a) { return fsqr(a); }
 
 U256 fe_inv(const U256& a) {
-    DLT_EXPECTS(!(a % P()).is_zero());
-    return fe_pow(a, P() - U256(2));
+    DLT_EXPECTS(!reduce_once(a, false, U256(kPC)).is_zero());
+    constexpr U256 kPMinus2{0xFFFFFFFEFFFFFC2Dull, ~0ull, ~0ull, ~0ull};
+    return pow_fixed<fmul>(a, kPMinus2);
 }
 
 std::optional<U256> fe_sqrt(const U256& a) {
     // p ≡ 3 (mod 4): candidate = a^((p+1)/4).
-    const U256 exp = (P() + U256::one()) >> 2;
-    const U256 candidate = fe_pow(a, exp);
-    if (fe_sqr(candidate) != fe_normalize(a)) return std::nullopt;
+    constexpr U256 kQuarter{0xFFFFFFFFBFFFFF0Cull, ~0ull, ~0ull, 0x3FFFFFFFFFFFFFFFull};
+    const U256 candidate = pow_fixed<fmul>(a, kQuarter);
+    if (fsqr(candidate) != reduce_once(a, false, U256(kPC))) return std::nullopt;
     return candidate;
 }
 
-namespace {
-// d = 2^256 - n (fits well under 2^129), the special form that lets us reduce
-// 512-bit products mod n with three folds instead of bit-by-bit division.
-const U256& NComplement() {
-    static const U256 v = (U256::max() - N()) + U256::one();
-    return v;
-}
-
-/// Reduce hi*2^256 + lo mod n using hi*2^256 ≡ hi*d (mod n).
-U256 sc_reduce_wide(const U256::Wide& p) {
-    // Fold 1: hi*d is at most ~385 bits.
-    const U256::Wide f1 = p.hi.mul_wide(NComplement());
-    bool c1 = false;
-    U256 acc = p.lo.add(f1.lo, &c1);
-    U256 rem = f1.hi + (c1 ? U256::one() : U256::zero()); // < 2^130
-
-    // Fold 2: rem*d is at most ~259 bits.
-    const U256::Wide f2 = rem.mul_wide(NComplement());
-    bool c2 = false;
-    acc = acc.add(f2.lo, &c2);
-    rem = f2.hi + (c2 ? U256::one() : U256::zero()); // tiny
-
-    // Fold 3: rem*d now fits comfortably in 256 bits.
-    bool c3 = false;
-    acc = acc.add(rem.mul_wide(NComplement()).lo, &c3);
-    if (c3) acc = acc + NComplement(); // acc wrapped: add 2^256 mod n once more
-    while (acc >= N()) acc = acc - N();
-    return acc;
-}
-} // namespace
-
-U256 sc_reduce(const U256& a) { return a >= N() ? a - N() : a; }
+U256 sc_reduce(const U256& a) { return reduce_once(a, false, kNC); }
 
 U256 sc_add(const U256& a, const U256& b) {
     bool carry = false;
-    U256 sum = a.add(b, &carry);
-    if (carry) {
-        // actual = 2^256 + sum; 2^256 mod n = 2^256 - n.
-        sum = sum.add(U256::max() - N() + U256::one(), nullptr);
-    }
-    return sum % N();
+    const U256 sum = add_carry(a, b, carry);
+    return reduce_once(sum, carry, kNC);
 }
 
-U256 sc_mul(const U256& a, const U256& b) { return sc_reduce_wide(a.mul_wide(b)); }
+U256 sc_mul(const U256& a, const U256& b) { return smul(a, b); }
 
 U256 sc_inv(const U256& a) {
     DLT_EXPECTS(!sc_reduce(a).is_zero());
-    // Fermat: a^(n-2) mod n.
-    U256 result = U256::one();
-    U256 acc = sc_reduce(a);
-    const U256 exp = N() - U256(2);
-    const int top = exp.highest_bit();
-    for (int i = 0; i <= top; ++i) {
-        if (exp.bit(static_cast<unsigned>(i))) result = sc_mul(result, acc);
-        acc = sc_mul(acc, acc);
-    }
-    return result;
+    constexpr U256 kNMinus2{0xBFD25E8CD036413Full, 0xBAAEDCE6AF48A03Bull,
+                            0xFFFFFFFFFFFFFFFEull, ~0ull};
+    return pow_fixed<smul>(a, kNMinus2);
 }
 
 // --- Jacobian point arithmetic ---------------------------------------------------
@@ -187,73 +245,74 @@ struct Jacobian {
     U256 z; // z == 0 means infinity
 };
 
+constexpr Jacobian kInfinity{U256(1), U256(1), U256()};
+
 Jacobian to_jacobian(const Point& p) {
-    if (p.infinity) return Jacobian{U256::one(), U256::one(), U256::zero()};
-    return Jacobian{p.x, p.y, U256::one()};
+    if (p.infinity) return kInfinity;
+    return Jacobian{p.x, p.y, U256(1)};
 }
 
 Point to_affine(const Jacobian& j) {
     if (j.z.is_zero()) return Point{};
     const U256 zinv = fe_inv(j.z);
-    const U256 zinv2 = fe_sqr(zinv);
-    const U256 zinv3 = fe_mul(zinv2, zinv);
-    return Point{fe_mul(j.x, zinv2), fe_mul(j.y, zinv3), false};
+    const U256 zinv2 = fsqr(zinv);
+    const U256 zinv3 = fmul(zinv2, zinv);
+    return Point{fmul(j.x, zinv2), fmul(j.y, zinv3), false};
 }
 
 Jacobian jac_double(const Jacobian& p) {
-    if (p.z.is_zero() || p.y.is_zero())
-        return Jacobian{U256::one(), U256::one(), U256::zero()};
+    if (p.z.is_zero() || p.y.is_zero()) return kInfinity;
     // Standard dbl-2007-bl style formulas for a=0 curves.
-    const U256 a2 = fe_sqr(p.x);                      // X^2
-    const U256 b = fe_sqr(p.y);                       // Y^2
-    const U256 c = fe_sqr(b);                         // Y^4
-    U256 d = fe_mul(p.x, b);                          // X*Y^2
-    d = fe_add(d, d);
-    d = fe_add(d, d);                                 // 4*X*Y^2
-    U256 e = fe_add(a2, fe_add(a2, a2));              // 3*X^2
-    const U256 f = fe_sqr(e);
-    U256 x3 = fe_sub(f, fe_add(d, d));
-    U256 y3 = fe_mul(e, fe_sub(d, x3));
-    U256 c8 = fe_add(c, c);
-    c8 = fe_add(c8, c8);
-    c8 = fe_add(c8, c8);                              // 8*Y^4
-    y3 = fe_sub(y3, c8);
-    U256 z3 = fe_mul(p.y, p.z);
-    z3 = fe_add(z3, z3);
+    const U256 a2 = fsqr(p.x);                        // X^2
+    const U256 b = fsqr(p.y);                         // Y^2
+    const U256 c = fsqr(b);                           // Y^4
+    U256 d = fmul(p.x, b);                            // X*Y^2
+    d = fadd(d, d);
+    d = fadd(d, d);                                   // 4*X*Y^2
+    U256 e = fadd(a2, fadd(a2, a2));                  // 3*X^2
+    const U256 f = fsqr(e);
+    U256 x3 = fsub(f, fadd(d, d));
+    U256 y3 = fmul(e, fsub(d, x3));
+    U256 c8 = fadd(c, c);
+    c8 = fadd(c8, c8);
+    c8 = fadd(c8, c8);                                // 8*Y^4
+    y3 = fsub(y3, c8);
+    U256 z3 = fmul(p.y, p.z);
+    z3 = fadd(z3, z3);
     return Jacobian{x3, y3, z3};
 }
 
 Jacobian jac_add(const Jacobian& p, const Jacobian& q) {
     if (p.z.is_zero()) return q;
     if (q.z.is_zero()) return p;
-    const U256 z1z1 = fe_sqr(p.z);
-    const U256 z2z2 = fe_sqr(q.z);
-    const U256 u1 = fe_mul(p.x, z2z2);
-    const U256 u2 = fe_mul(q.x, z1z1);
-    const U256 s1 = fe_mul(p.y, fe_mul(z2z2, q.z));
-    const U256 s2 = fe_mul(q.y, fe_mul(z1z1, p.z));
+    const U256 z1z1 = fsqr(p.z);
+    const U256 z2z2 = fsqr(q.z);
+    const U256 u1 = fmul(p.x, z2z2);
+    const U256 u2 = fmul(q.x, z1z1);
+    const U256 s1 = fmul(p.y, fmul(z2z2, q.z));
+    const U256 s2 = fmul(q.y, fmul(z1z1, p.z));
     if (u1 == u2) {
         if (s1 == s2) return jac_double(p);
-        return Jacobian{U256::one(), U256::one(), U256::zero()}; // P + (-P) = O
+        return kInfinity; // P + (-P) = O
     }
-    const U256 h = fe_sub(u2, u1);
-    U256 i = fe_add(h, h);
-    i = fe_sqr(i);
-    const U256 j = fe_mul(h, i);
-    U256 r = fe_sub(s2, s1);
-    r = fe_add(r, r);
-    const U256 v = fe_mul(u1, i);
-    U256 x3 = fe_sub(fe_sub(fe_sqr(r), j), fe_add(v, v));
-    U256 s1j = fe_mul(s1, j);
-    U256 y3 = fe_sub(fe_mul(r, fe_sub(v, x3)), fe_add(s1j, s1j));
-    U256 z3 = fe_mul(fe_mul(p.z, q.z), h);
-    z3 = fe_add(z3, z3);
+    const U256 h = fsub(u2, u1);
+    U256 i = fadd(h, h);
+    i = fsqr(i);
+    const U256 j = fmul(h, i);
+    U256 r = fsub(s2, s1);
+    r = fadd(r, r);
+    const U256 v = fmul(u1, i);
+    U256 x3 = fsub(fsub(fsqr(r), j), fadd(v, v));
+    U256 s1j = fmul(s1, j);
+    U256 y3 = fsub(fmul(r, fsub(v, x3)), fadd(s1j, s1j));
+    U256 z3 = fmul(fmul(p.z, q.z), h);
+    z3 = fadd(z3, z3);
     return Jacobian{x3, y3, z3};
 }
 
 Jacobian jac_negate(const Jacobian& p) {
     if (p.z.is_zero() || p.y.is_zero()) return p;
-    return Jacobian{p.x, P() - p.y, p.z};
+    return Jacobian{p.x, fsub(U256(), p.y), p.z};
 }
 
 /// Affine point for precomputed tables. Mixed addition against an affine
@@ -268,129 +327,80 @@ struct Affine {
 /// p + q with q affine (madd-2007-bl, Z2 = 1).
 Jacobian jac_add_affine(const Jacobian& p, const Affine& q) {
     if (q.infinity) return p;
-    if (p.z.is_zero()) return Jacobian{q.x, q.y, U256::one()};
-    const U256 z1z1 = fe_sqr(p.z);
-    const U256 u2 = fe_mul(q.x, z1z1);
-    const U256 s2 = fe_mul(q.y, fe_mul(z1z1, p.z));
+    if (p.z.is_zero()) return Jacobian{q.x, q.y, U256(1)};
+    const U256 z1z1 = fsqr(p.z);
+    const U256 u2 = fmul(q.x, z1z1);
+    const U256 s2 = fmul(q.y, fmul(z1z1, p.z));
     if (u2 == p.x) {
         if (s2 == p.y) return jac_double(p);
-        return Jacobian{U256::one(), U256::one(), U256::zero()}; // P + (-P) = O
+        return kInfinity; // P + (-P) = O
     }
-    const U256 h = fe_sub(u2, p.x);
-    const U256 hh = fe_sqr(h);
-    U256 i = fe_add(hh, hh);
-    i = fe_add(i, i); // 4*H^2
-    const U256 j = fe_mul(h, i);
-    U256 r = fe_sub(s2, p.y);
-    r = fe_add(r, r);
-    const U256 v = fe_mul(p.x, i);
-    const U256 x3 = fe_sub(fe_sub(fe_sqr(r), j), fe_add(v, v));
-    const U256 yj = fe_mul(p.y, j);
-    const U256 y3 = fe_sub(fe_mul(r, fe_sub(v, x3)), fe_add(yj, yj));
-    U256 z3 = fe_mul(p.z, h);
-    z3 = fe_add(z3, z3);
+    const U256 h = fsub(u2, p.x);
+    const U256 hh = fsqr(h);
+    U256 i = fadd(hh, hh);
+    i = fadd(i, i); // 4*H^2
+    const U256 j = fmul(h, i);
+    U256 r = fsub(s2, p.y);
+    r = fadd(r, r);
+    const U256 v = fmul(p.x, i);
+    const U256 x3 = fsub(fsub(fsqr(r), j), fadd(v, v));
+    const U256 yj = fmul(p.y, j);
+    const U256 y3 = fsub(fmul(r, fsub(v, x3)), fadd(yj, yj));
+    U256 z3 = fmul(p.z, h);
+    z3 = fadd(z3, z3);
     return Jacobian{x3, y3, z3};
 }
 
-/// Width-4 non-adjacent form, least-significant digit first. Nonzero digits
-/// are odd, lie in {±1, ±3, ±5, ±7}, and average one per ~5 bits, so a generic
-/// 256-bit multiply needs ~51 additions instead of the ~128 of plain
-/// double-and-add. Returns the digit count (≤ 257 for scalars < 2^256).
-int wnaf_digits(const U256& k, std::int8_t out[260]) {
-    U256 d = k;
-    int len = 0;
-    while (!d.is_zero()) {
-        std::int8_t digit = 0;
-        if (d.is_odd()) {
-            const int word = static_cast<int>(d.low64() & 0xF); // mod 2^4
-            digit = static_cast<std::int8_t>(word < 8 ? word : word - 16);
-            if (digit > 0)
-                d = d - U256(static_cast<std::uint64_t>(digit));
-            else
-                d = d + U256(static_cast<std::uint64_t>(-digit));
-        }
-        out[len++] = digit;
-        d = d >> 1;
+/// Affine forms of `jac` with one field inversion (Montgomery's trick):
+/// prefix[k] holds the product of all previous z's, so after one inversion of
+/// the grand product each z's inverse peels off with two multiplications.
+std::vector<Affine> batch_to_affine(const std::vector<Jacobian>& jac) {
+    std::vector<std::size_t> live;
+    std::vector<U256> prefix;
+    live.reserve(jac.size());
+    prefix.reserve(jac.size());
+    U256 acc(1);
+    for (std::size_t i = 0; i < jac.size(); ++i) {
+        if (jac[i].z.is_zero()) continue;
+        live.push_back(i);
+        prefix.push_back(acc);
+        acc = fmul(acc, jac[i].z);
     }
-    return len;
-}
+    U256 inv = fe_inv(acc);
 
-Jacobian jac_multiply(const U256& k, const Jacobian& p) {
-    const Jacobian identity{U256::one(), U256::one(), U256::zero()};
-    const U256 scalar = sc_reduce(k);
-    if (scalar.is_zero() || p.z.is_zero()) return identity;
-
-    std::int8_t naf[260];
-    const int len = wnaf_digits(scalar, naf);
-
-    // Odd multiples 1P, 3P, 5P, 7P.
-    Jacobian odd[4];
-    odd[0] = p;
-    const Jacobian twop = jac_double(p);
-    for (int i = 1; i < 4; ++i) odd[i] = jac_add(odd[i - 1], twop);
-
-    Jacobian result = identity;
-    for (int i = len - 1; i >= 0; --i) {
-        result = jac_double(result);
-        const int d = naf[i];
-        if (d > 0)
-            result = jac_add(result, odd[(d - 1) / 2]);
-        else if (d < 0)
-            result = jac_add(result, jac_negate(odd[(-d - 1) / 2]));
+    std::vector<Affine> t(jac.size());
+    for (std::size_t k = live.size(); k-- > 0;) {
+        const Jacobian& src = jac[live[k]];
+        const U256 zinv = fmul(inv, prefix[k]);
+        inv = fmul(inv, src.z);
+        const U256 zinv2 = fsqr(zinv);
+        t[live[k]] = Affine{fmul(src.x, zinv2), fmul(src.y, fmul(zinv2, zinv)), false};
     }
-    return result;
+    return t;
 }
 
 /// Fixed-base window-4 comb table for the generator, stored in affine form:
 /// table[16*i + j] = j * 2^(4i) * G. Signing is dominated by k*G; the table
 /// turns 256 doubles + ~128 adds into 64 mixed additions with no doublings at
-/// all. Built lazily once per process: the Jacobian working table is converted
-/// to affine with a single batched field inversion (Montgomery's trick), so
-/// startup pays one fe_inv instead of 1008.
+/// all. Built lazily once per process with a single batched inversion.
 const std::vector<Affine>& base_table() {
     static const std::vector<Affine> table = [] {
-        const Jacobian identity{U256::one(), U256::one(), U256::zero()};
-        std::vector<Jacobian> jac(64 * 16, identity);
-        Jacobian power{Gx(), Gy(), U256::one()}; // 2^(4i) * G
+        std::vector<Jacobian> jac(64 * 16, kInfinity);
+        Jacobian power{kGx, kGy, U256(1)}; // 2^(4i) * G
         for (int i = 0; i < 64; ++i) {
             for (int j = 1; j < 16; ++j)
                 jac[static_cast<std::size_t>(16 * i + j)] =
                     jac_add(jac[static_cast<std::size_t>(16 * i + j - 1)], power);
             for (int d = 0; d < 4; ++d) power = jac_double(power);
         }
-
-        // Batch inversion: prefix[k] holds the product of all previous z's, so
-        // after one inversion of the grand product each z's inverse peels off
-        // with two multiplications.
-        std::vector<std::size_t> live;
-        std::vector<U256> prefix;
-        live.reserve(jac.size());
-        prefix.reserve(jac.size());
-        U256 acc = U256::one();
-        for (std::size_t i = 0; i < jac.size(); ++i) {
-            if (jac[i].z.is_zero()) continue;
-            live.push_back(i);
-            prefix.push_back(acc);
-            acc = fe_mul(acc, jac[i].z);
-        }
-        U256 inv = fe_inv(acc);
-
-        std::vector<Affine> t(jac.size());
-        for (std::size_t k = live.size(); k-- > 0;) {
-            const Jacobian& src = jac[live[k]];
-            const U256 zinv = fe_mul(inv, prefix[k]);
-            inv = fe_mul(inv, src.z);
-            const U256 zinv2 = fe_sqr(zinv);
-            t[live[k]] = Affine{fe_mul(src.x, zinv2),
-                                fe_mul(src.y, fe_mul(zinv2, zinv)), false};
-        }
-        return t;
+        return batch_to_affine(jac);
     }();
     return table;
 }
 
-Jacobian jac_multiply_base(const U256& k) {
-    Jacobian result{U256::one(), U256::one(), U256::zero()};
+/// k·G from the comb table: one mixed addition per nonzero nibble of k.
+Jacobian comb_multiply(const U256& k) {
+    Jacobian result = kInfinity;
     const U256 scalar = sc_reduce(k);
     for (int i = 0; i < 64; ++i) {
         const unsigned nibble = static_cast<unsigned>(
@@ -403,19 +413,92 @@ Jacobian jac_multiply_base(const U256& k) {
     return result;
 }
 
+/// The odd multiples G, 3G, ..., 127G in affine form: the table that width-8
+/// wNAF digits of the G scalar index in ecmult. Built lazily, batch-normalized.
+const std::vector<Affine>& odd_g_table() {
+    static const std::vector<Affine> table = [] {
+        std::vector<Jacobian> jac(64, Jacobian{kGx, kGy, U256(1)});
+        const Jacobian twice = jac_double(jac[0]);
+        for (std::size_t i = 1; i < jac.size(); ++i) jac[i] = jac_add(jac[i - 1], twice);
+        return batch_to_affine(jac);
+    }();
+    return table;
+}
+
+/// Width-w non-adjacent form of k < 2^256, least-significant digit first:
+/// nonzero digits are odd with magnitude below 2^(w-1), and any w consecutive
+/// digits hold at most one, so a 256-bit scalar needs ~256/(w+1) additions.
+/// Returns the digit count (≤ 257).
+int wnaf(const U256& k, int w, int (&out)[257]) {
+    std::fill(std::begin(out), std::end(out), 0);
+    int len = 0;
+    int carry = 0;
+    for (int bit = 0; bit < 256;) {
+        const auto b = static_cast<unsigned>(bit);
+        if (static_cast<int>(k.bit(b)) == carry) {
+            ++bit;
+            continue;
+        }
+        const int now = std::min(w, 256 - bit); // window clipped at bit 255
+        u64 bits = k.limbs[b / 64] >> (b % 64);
+        if (b % 64 + static_cast<unsigned>(now) > 64)
+            bits |= k.limbs[b / 64 + 1] << (64 - b % 64);
+        int word = static_cast<int>(bits & ((u64{1} << now) - 1)) + carry;
+        carry = (word >> (w - 1)) & 1;
+        word -= carry << w;
+        out[bit] = word;
+        len = bit + 1;
+        bit += now;
+    }
+    if (carry != 0) {
+        out[256] = 1;
+        len = 257;
+    }
+    return len;
+}
+
+/// u1·G + u2·P over one shared doubling chain (Strauss–Shamir). Width-5 wNAF
+/// digits of u2 index the odd multiples P, 3P, ..., 15P computed here; width-8
+/// digits of u1 index odd_g_table(). With u1 = 0 this is plain u2·P.
+Jacobian ecmult(const U256& u1, const U256& u2, const Point& p) {
+    int dg[257];
+    int dp[257];
+    const int lg = wnaf(sc_reduce(u1), 8, dg);
+    const int lp = p.infinity ? 0 : wnaf(sc_reduce(u2), 5, dp);
+    Jacobian odd[8];
+    if (lp > 0) {
+        odd[0] = to_jacobian(p);
+        const Jacobian twice = jac_double(odd[0]);
+        for (std::size_t i = 1; i < 8; ++i) odd[i] = jac_add(odd[i - 1], twice);
+    }
+    const std::vector<Affine>& gtable = odd_g_table();
+    Jacobian r = kInfinity;
+    for (int i = std::max(lg, lp) - 1; i >= 0; --i) {
+        r = jac_double(r);
+        if (i < lp && dp[i] != 0) {
+            const Jacobian& q = odd[static_cast<std::size_t>(std::abs(dp[i]) / 2)];
+            r = jac_add(r, dp[i] > 0 ? q : jac_negate(q));
+        }
+        if (i < lg && dg[i] != 0) {
+            Affine g = gtable[static_cast<std::size_t>(std::abs(dg[i]) / 2)];
+            if (dg[i] < 0) g.y = fsub(U256(), g.y);
+            r = jac_add_affine(r, g);
+        }
+    }
+    return r;
+}
+
 } // namespace
 
 const Point& generator() {
-    static const Point g{Gx(), Gy(), false};
+    static const Point g{kGx, kGy, false};
     return g;
 }
 
 bool is_on_curve(const Point& p) {
     if (p.infinity) return true;
-    if (p.x >= P() || p.y >= P()) return false;
-    const U256 lhs = fe_sqr(p.y);
-    const U256 rhs = fe_add(fe_mul(fe_sqr(p.x), p.x), U256(7));
-    return lhs == rhs;
+    if (p.x >= kP || p.y >= kP) return false;
+    return fsqr(p.y) == fadd(fmul(fsqr(p.x), p.x), U256(7));
 }
 
 Point add(const Point& a, const Point& b) {
@@ -424,18 +507,16 @@ Point add(const Point& a, const Point& b) {
 
 Point negate(const Point& p) {
     if (p.infinity) return p;
-    return Point{p.x, P() - p.y, false};
+    return Point{p.x, kP - p.y, false};
 }
 
 Point multiply(const U256& k, const Point& p) {
-    if (p == generator()) return to_affine(jac_multiply_base(k));
-    return to_affine(jac_multiply(k, to_jacobian(p)));
+    if (p == generator()) return to_affine(comb_multiply(k));
+    return to_affine(ecmult(U256(), k, p));
 }
 
 Point double_multiply(const U256& u1, const U256& u2, const Point& p) {
-    const Jacobian sum =
-        jac_add(jac_multiply_base(u1), jac_multiply(u2, to_jacobian(p)));
-    return to_affine(sum);
+    return to_affine(ecmult(u1, u2, p));
 }
 
 Bytes encode_compressed(const Point& p) {
@@ -452,13 +533,13 @@ Point decode_compressed(ByteView bytes33) {
     if (bytes33.size() != 33 || (bytes33[0] != 0x02 && bytes33[0] != 0x03))
         throw CryptoError("malformed compressed point");
     const U256 x = U256::from_be_bytes(bytes33.subspan(1));
-    if (x >= P()) throw CryptoError("point x out of range");
-    const U256 rhs = fe_add(fe_mul(fe_sqr(x), x), U256(7));
+    if (x >= kP) throw CryptoError("point x out of range");
+    const U256 rhs = fadd(fmul(fsqr(x), x), U256(7));
     const std::optional<U256> y = fe_sqrt(rhs);
     if (!y) throw CryptoError("x is not on the curve");
     U256 y_final = *y;
     const bool want_odd = bytes33[0] == 0x03;
-    if (y_final.is_odd() != want_odd) y_final = P() - y_final;
+    if (y_final.is_odd() != want_odd) y_final = kP - y_final;
     return Point{x, y_final, false};
 }
 
@@ -522,7 +603,7 @@ U256 rfc6979_nonce(const U256& priv, const Hash256& msg_hash) {
         vd = hmac_sha256(k, v);
         std::copy(vd.data.begin(), vd.data.end(), v_bytes);
         const U256 candidate = U256::from_be_bytes(v);
-        if (!candidate.is_zero() && candidate < N()) return candidate;
+        if (!candidate.is_zero() && candidate < kN) return candidate;
         kd = hmac_sha256(k, v, Bytes{0x00});
         std::copy(kd.data.begin(), kd.data.end(), k_bytes);
         vd = hmac_sha256(k, v);
@@ -531,7 +612,7 @@ U256 rfc6979_nonce(const U256& priv, const Hash256& msg_hash) {
 }
 
 Signature sign(const U256& priv, const Hash256& msg_hash) {
-    DLT_EXPECTS(!priv.is_zero() && priv < N());
+    DLT_EXPECTS(!priv.is_zero() && priv < kN);
     const U256 z = sc_reduce(U256::from_hash(msg_hash));
     U256 k = rfc6979_nonce(priv, msg_hash);
     for (;;) {
@@ -541,32 +622,36 @@ Signature sign(const U256& priv, const Hash256& msg_hash) {
             k = sc_add(k, U256::one());
             continue;
         }
-        U256 s = sc_mul(sc_inv(k), sc_add(z, sc_mul(r, priv)));
+        U256 s = smul(sc_inv(k), sc_add(z, smul(r, priv)));
         if (s.is_zero()) {
             k = sc_add(k, U256::one());
             continue;
         }
         // Low-s normalization (BIP-62): accept the lexicographically smaller of
         // s and n-s so signatures are non-malleable.
-        if (s > N() >> 1) s = N() - s;
+        if (s > kN >> 1) s = kN - s;
         return Signature{r, s};
     }
 }
 
 bool verify(const Point& pub, const Hash256& msg_hash, const Signature& sig) {
     if (pub.infinity || !is_on_curve(pub)) return false;
-    if (sig.r.is_zero() || sig.r >= N() || sig.s.is_zero() || sig.s >= N()) return false;
+    if (sig.r.is_zero() || sig.r >= kN || sig.s.is_zero() || sig.s >= kN) return false;
     const U256 z = sc_reduce(U256::from_hash(msg_hash));
     const U256 sinv = sc_inv(sig.s);
-    const U256 u1 = sc_mul(z, sinv);
-    const U256 u2 = sc_mul(sig.r, sinv);
-    const Point rp = double_multiply(u1, u2, pub);
-    if (rp.infinity) return false;
-    return sc_reduce(rp.x) == sig.r;
+    const Jacobian rp = ecmult(smul(z, sinv), smul(sig.r, sinv), pub);
+    if (rp.z.is_zero()) return false;
+    // x(R) = X/Z^2 lies in [0, p) and p < 2n, so x(R) mod n == r exactly when
+    // X == r*Z^2, or X == (r+n)*Z^2 with r + n < p: no inversion needed.
+    const U256 zz = fsqr(rp.z);
+    if (fmul(sig.r, zz) == rp.x) return true;
+    bool carry = false;
+    const U256 r_plus_n = add_carry(sig.r, kN, carry);
+    return !carry && r_plus_n < kP && fmul(r_plus_n, zz) == rp.x;
 }
 
 Point derive_public(const U256& priv) {
-    DLT_EXPECTS(!priv.is_zero() && priv < N());
+    DLT_EXPECTS(!priv.is_zero() && priv < kN);
     return multiply(priv, generator());
 }
 

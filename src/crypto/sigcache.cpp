@@ -154,8 +154,11 @@ bool verify_signature_cached(ByteView pubkey33, const Hash256& msg_hash,
     bool valid = false;
     try {
         const auto pubkey = decode_pubkey_memoized(pubkey33);
-        valid = secp256k1::verify(*pubkey, msg_hash,
-                                  secp256k1::Signature::decode(sig64));
+        const auto sig = secp256k1::Signature::decode(sig64);
+        // Low s only (BIP-146 LOW_S): the twin (r, n - s) verifies too, and
+        // since txids cover signatures it would give a spend a second id.
+        valid = sig.s <= (secp256k1::group_order() >> 1) &&
+                secp256k1::verify(*pubkey, msg_hash, sig);
     } catch (const CryptoError&) {
         valid = false; // malformed key or signature: definitively invalid
     }

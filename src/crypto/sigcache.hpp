@@ -107,9 +107,10 @@ private:
 /// Verify `sig64` (64-byte r||s) by `pubkey33` (compressed SEC1) over
 /// `msg_hash`, consulting the global SigCache first. On a hit nothing is
 /// decoded — point decompression is itself a field exponentiation, so cache
-/// hits skip that cost too. Malformed inputs verify as false (and the negative
-/// outcome is cached) instead of throwing. Safe to call from CheckQueue
-/// workers: the cache is striped and the pubkey memo takes a shared lock.
+/// hits skip that cost too. Malformed inputs and high-s signatures (s > n/2)
+/// verify as false (and the negative outcome is cached) instead of throwing.
+/// Safe to call from CheckQueue workers: the cache is striped and the pubkey
+/// memo takes a shared lock.
 bool verify_signature_cached(ByteView pubkey33, const Hash256& msg_hash,
                              ByteView sig64);
 

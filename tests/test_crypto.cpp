@@ -1,7 +1,12 @@
 // Unit + property tests for the crypto module: SHA-256/RIPEMD-160/HMAC known
-// vectors, U256 arithmetic properties, secp256k1 curve laws, and ECDSA
-// sign/verify round trips including RFC-6979 determinism.
+// vectors, U256 arithmetic properties, the secp256k1 field and scalar kernels
+// against a U256 long-division oracle, curve laws, and ECDSA sign/verify
+// including the published RFC-6979 vectors and the low-s ledger rule.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
@@ -356,6 +361,61 @@ TEST(Secp256k1, SqrtOfSquare) {
     }
 }
 
+// --- Field and scalar kernels against the U256 oracle -----------------------------
+
+/// Inputs below `m`: the edges 0, 1, p - 1, n - 1 and 2^255 (those below m),
+/// which drive every fold and carry of the kernels, plus seeded random values.
+std::vector<U256> kernel_inputs(const U256& m, std::uint64_t seed) {
+    std::vector<U256> out;
+    for (const U256& edge : {U256::zero(), U256::one(), ec::field_prime() - U256::one(),
+                             ec::group_order() - U256::one(), U256::one() << 255})
+        if (edge < m) out.push_back(edge);
+    Rng rng(seed);
+    for (int i = 0; i < 40; ++i) {
+        const U256 v(rng.next(), rng.next(), rng.next(), rng.next());
+        out.push_back(v < m ? v : v - m); // 2^256 < 2m
+    }
+    return out;
+}
+
+/// (a + b) mod m with U256::add and long division, for a, b < m.
+U256 oracle_add(const U256& a, const U256& b, const U256& m) {
+    bool carry = false;
+    const U256 sum = a.add(b, &carry);
+    return carry ? mod_wide(U256::Wide{sum, U256::one()}, m) : sum % m;
+}
+
+TEST(Secp256k1, FieldOpsMatchU256Oracle) {
+    const U256& p = ec::field_prime();
+    const std::vector<U256> in = kernel_inputs(p, 29);
+    // Every pair, so (p - 1)·(p - 1) and 2^255·2^255 are among the products.
+    for (const U256& a : in) {
+        EXPECT_EQ(ec::fe_sqr(a), mod_wide(a.mul_wide(a), p)) << a.hex();
+        if (!a.is_zero()) {
+            EXPECT_EQ(ec::fe_mul(a, ec::fe_inv(a)), U256::one()) << a.hex();
+        }
+        for (const U256& b : in) {
+            EXPECT_EQ(ec::fe_mul(a, b), mod_wide(a.mul_wide(b), p)) << a.hex() << " " << b.hex();
+            EXPECT_EQ(ec::fe_add(a, b), oracle_add(a, b, p)) << a.hex() << " " << b.hex();
+            EXPECT_EQ(ec::fe_sub(a, b), oracle_add(a, p - b, p)) << a.hex() << " " << b.hex();
+        }
+    }
+}
+
+TEST(Secp256k1, ScalarOpsMatchU256Oracle) {
+    const U256& n = ec::group_order();
+    const std::vector<U256> in = kernel_inputs(n, 31);
+    for (const U256& a : in) {
+        if (!a.is_zero()) {
+            EXPECT_EQ(ec::sc_mul(a, ec::sc_inv(a)), U256::one()) << a.hex();
+        }
+        for (const U256& b : in) {
+            EXPECT_EQ(ec::sc_mul(a, b), mod_wide(a.mul_wide(b), n)) << a.hex() << " " << b.hex();
+            EXPECT_EQ(ec::sc_add(a, b), oracle_add(a, b, n)) << a.hex() << " " << b.hex();
+        }
+    }
+}
+
 // --- ECDSA ------------------------------------------------------------------------
 
 TEST(Ecdsa, SignVerifyRoundTrip) {
@@ -416,9 +476,10 @@ TEST(Ecdsa, MalleatedSignatureRejected) {
     const Hash256 msg = sha256(to_bytes("tx"));
     auto sig = priv.sign(msg);
     sig.s = ec::group_order() - sig.s; // high-s twin
-    // The high-s twin still satisfies the curve equation but our verifier accepts
-    // it (standard ECDSA); wallets enforce low-s at the ledger validation layer.
-    // Here we only check tampering with r breaks the signature:
+    // secp256k1::verify is textbook ECDSA and accepts the high-s twin; the
+    // ledger rejects it in verify_signature_cached (SigCache.RejectsHighSTwin).
+    EXPECT_TRUE(priv.public_key().verify(msg, sig));
+    // Tampering with r breaks the signature:
     auto bad = priv.sign(msg);
     bad.r = ec::sc_add(bad.r, U256::one());
     EXPECT_FALSE(priv.public_key().verify(msg, bad));
@@ -428,6 +489,63 @@ TEST(Ecdsa, ZeroSignatureRejected) {
     const PrivateKey priv = PrivateKey::from_seed("zeros");
     const Hash256 msg = sha256(to_bytes("x"));
     EXPECT_FALSE(priv.public_key().verify(msg, ec::Signature{U256::zero(), U256::zero()}));
+}
+
+TEST(Ecdsa, Rfc6979Secp256k1Vectors) {
+    // The published secp256k1 RFC 6979 vectors; each message is hashed once
+    // with SHA-256, and the expected s values are already low.
+    EXPECT_EQ(ec::rfc6979_nonce(U256::one(), sha256(to_bytes("Satoshi Nakamoto"))).hex(),
+              "8f8a276c19f4149656b280621e358cce24f5f52542772691ee69063b74f15d15");
+    struct Vector {
+        const char* key;
+        const char* message;
+        const char* r;
+        const char* s;
+    };
+    const Vector vectors[] = {
+        {"1", "Satoshi Nakamoto",
+         "934b1ea10a4b3c1757e2b0c017d0b6143ce3c9a7e6a4a49860d7a6ab210ee3d8",
+         "2442ce9d2b916064108014783e923ec36b49743e2ffa1c4496f01a512aafd9e5"},
+        {"1", "All those moments will be lost in time, like tears in rain. Time to die...",
+         "8600dbd41e348fe5c9465ab92d23e3db8b98b873beecd930736488696438cb6b",
+         "547fe64427496db33bf66019dacbf0039c04199abb0122918601db38a72cfc21"},
+        {"f8b8af8ce3c7cca5e300d33939540c10d45ce001b8f252bfbc57ba0342904181", "Alan Turing",
+         "7063ae83e7f62bbb171798131b4a0564b956930092b33b07b395615d9ec7e15c",
+         "58dfcc1e00a35e1572f366ffe34ba0fc47db1e7189759b9fb233c5b05ab388ea"},
+    };
+    for (const Vector& v : vectors) {
+        const U256 priv = U256::from_hex(v.key);
+        const Hash256 msg = sha256(to_bytes(v.message));
+        const ec::Signature sig = ec::sign(priv, msg);
+        EXPECT_EQ(sig.r.hex(), v.r) << v.message;
+        EXPECT_EQ(sig.s.hex(), v.s) << v.message;
+        EXPECT_TRUE(ec::verify(ec::derive_public(priv), msg, sig)) << v.message;
+    }
+}
+
+TEST(Ecdsa, AcceptsRWhoseXIsAboveTheOrder) {
+    // x(R) mod n = r also holds for x(R) = r + n when r + n < p. x = n + 2 lies
+    // on the curve (n + 1 does not), so R = (n + 2, y) signs with r = 2.
+    auto curve_y = [](const U256& x) {
+        return ec::fe_sqrt(ec::fe_add(ec::fe_mul(ec::fe_sqr(x), x), U256(7)));
+    };
+    const U256 n = ec::group_order();
+    ASSERT_FALSE(curve_y(n + U256::one()).has_value());
+    const std::optional<U256> y = curve_y(n + U256(2));
+    ASSERT_TRUE(y.has_value());
+    const ec::Point big_r{n + U256(2), *y, false};
+    ASSERT_TRUE(ec::is_on_curve(big_r));
+
+    // Q = r^-1·(s·R - z·G), so that (z/s)·G + (r/s)·Q = R.
+    const U256 r(2);
+    const U256 s = ec::sc_reduce(U256::from_hash(sha256(to_bytes("x above n: s"))));
+    const Hash256 msg = sha256(to_bytes("x above n: message"));
+    const U256 z = ec::sc_reduce(U256::from_hash(msg));
+    const ec::Point q = ec::multiply(
+        ec::sc_inv(r),
+        ec::add(ec::multiply(s, big_r), ec::negate(ec::multiply(z, ec::generator()))));
+    EXPECT_TRUE(ec::verify(q, msg, ec::Signature{r, s}));
+    EXPECT_FALSE(ec::verify(q, msg, ec::Signature{U256(3), s}));
 }
 
 // --- Keys / addresses ---------------------------------------------------------------
@@ -507,8 +625,13 @@ TEST(Secp256k1, DoubleMultiplyMatchesSeparateMultiplies) {
     const ec::Point q = ec::multiply(U256(11), ec::generator());
     const U256 u1 = ec::sc_reduce(U256::from_hash(sha256(to_bytes("dm-u1"))));
     const U256 u2 = ec::sc_reduce(U256::from_hash(sha256(to_bytes("dm-u2"))));
-    EXPECT_EQ(ec::double_multiply(u1, u2, q),
-              ec::add(ec::multiply(u1, ec::generator()), ec::multiply(u2, q)));
+    const U256 n_minus_1 = ec::group_order() - U256::one();
+    const std::pair<U256, U256> cases[] = {
+        {u1, u2}, {U256::zero(), u2}, {u1, U256::zero()}, {n_minus_1, n_minus_1}};
+    for (const auto& [a, b] : cases)
+        EXPECT_EQ(ec::double_multiply(a, b, q),
+                  ec::add(ref_multiply(a, ec::generator()), ref_multiply(b, q)))
+            << a.hex() << " " << b.hex();
 }
 
 // --- Signature cache ----------------------------------------------------------------
@@ -609,6 +732,18 @@ TEST(SigCache, CachedVerifyMatchesDirectVerify) {
     EXPECT_FALSE(verify_signature_cached(pubkey, other, sig));
     EXPECT_FALSE(verify_signature_cached(pubkey, other, sig));
     EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+TEST(SigCache, RejectsHighSTwin) {
+    const PrivateKey priv = PrivateKey::from_seed("sigcache-low-s");
+    const Hash256 msg = sha256(to_bytes("low s only"));
+    const Bytes pubkey = priv.public_key().encode();
+    ec::Signature twin = priv.sign(msg);
+    EXPECT_TRUE(verify_signature_cached(pubkey, msg, twin.encode()));
+    twin.s = ec::group_order() - twin.s;
+    ASSERT_TRUE(priv.public_key().verify(msg, twin)); // textbook ECDSA accepts it
+    EXPECT_FALSE(verify_signature_cached(pubkey, msg, twin.encode()));
+    EXPECT_FALSE(verify_signature_cached(pubkey, msg, twin.encode())); // cached
 }
 
 TEST(SigCache, MalformedInputsVerifyFalseWithoutThrowing) {

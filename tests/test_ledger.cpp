@@ -656,6 +656,54 @@ TEST(Validation, SignedChainConnects) {
     EXPECT_EQ(utxo.balance_of(kAlice.address()), coins[0].second.value - 500);
 }
 
+/// `sig64` with s replaced by n - s: the high-s twin, which textbook ECDSA
+/// also accepts.
+Bytes high_s_twin(const Bytes& sig64) {
+    auto sig = crypto::secp256k1::Signature::decode(sig64);
+    sig.s = crypto::secp256k1::group_order() - sig.s;
+    return sig.encode();
+}
+
+TEST(Validation, HighSTwinRejectedInFullMode) {
+    UtxoSet utxo;
+    const Block genesis = make_genesis("val-test", easy_bits(2));
+    const Block b1 = chain_block(genesis, {});
+    ValidationRules rules;
+    ASSERT_EQ(rules.sig_mode, SigCheckMode::kFull);
+    connect_block(b1, utxo, rules);
+
+    const auto coins = utxo.coins_of(kMiner.address());
+    Transaction spend = make_transfer(
+        {coins[0].first}, {TxOutput{coins[0].second.value - 500, kAlice.address()}});
+    spend.sign_with(kMiner);
+    Transaction twin = spend;
+    twin.inputs[0].signature = high_s_twin(spend.inputs[0].signature);
+    twin.invalidate_txid_cache();
+    ASSERT_NE(twin.txid(), spend.txid()); // txids cover signatures
+    ASSERT_TRUE(kMiner.public_key().verify(
+        twin.sighash(), crypto::secp256k1::Signature::decode(twin.inputs[0].signature)));
+
+    Transaction record = make_record(kAlice.public_key(), 1, to_bytes("record"));
+    record.sign_with(kAlice);
+    Transaction record_twin = record;
+    record_twin.account_signature = high_s_twin(record.account_signature);
+    record_twin.invalidate_txid_cache();
+
+    EXPECT_FALSE(twin.verify_signatures());
+    EXPECT_FALSE(record_twin.verify_signatures());
+    EXPECT_FALSE(verify_batch_signatures({twin}));
+    EXPECT_FALSE(verify_batch_signatures({record_twin}));
+    const Bytes before = encode_to_bytes(utxo);
+    EXPECT_THROW(connect_block(chain_block(b1, {twin}, 500), utxo, rules), ValidationError);
+    EXPECT_EQ(encode_to_bytes(utxo), before);
+
+    EXPECT_TRUE(spend.verify_signatures());
+    EXPECT_TRUE(record.verify_signatures());
+    EXPECT_TRUE(verify_batch_signatures({spend, record}));
+    EXPECT_NO_THROW(connect_block(chain_block(b1, {spend}, 500), utxo, rules));
+    EXPECT_EQ(utxo.balance_of(kAlice.address()), coins[0].second.value - 500);
+}
+
 // --- Block builder ----------------------------------------------------------------
 
 /// The copy-based template walk each engine ran before build_block existed,
