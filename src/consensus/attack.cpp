@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/serialize.hpp"
 #include "consensus/nakamoto.hpp"
 #include "ledger/block.hpp"
 
@@ -183,12 +182,12 @@ EclipseAttack::EclipseAttack(NakamotoNetwork& net, EclipseParams params)
         if (n != params_.attacker && n != params_.victim) honest.push_back(n);
     net.network().partition(partition_, {{params_.victim}, honest});
 
-    // Refuse to bridge gossip in either direction. Direct "d/" sync replies
-    // are deliberately left open: the victim may backfill ancestors of blocks
-    // the attacker *chooses* to push at it.
+    // Refuse to relay in either direction. Fetch replies are deliberately
+    // left open: the victim may backfill ancestors of blocks the attacker
+    // *chooses* to push at it.
     const net::NodeId attacker = params_.attacker;
     const net::NodeId victim = params_.victim;
-    net.gossip().set_relay_filter(
+    net.set_relay_filter(
         [attacker, victim](net::NodeId at, net::NodeId to, const std::string&) {
             if (at == attacker && to == victim) return false;
             if (at == victim && to == attacker) return false;
@@ -209,15 +208,14 @@ bool EclipseAttack::on_mined(net::NodeId node, const ledger::Block& block) {
     // victim: it orphan-fetches any missing ancestors back through us, so the
     // victim converges on the attacker's view of the chain.
     fork_.push_back(block.hash());
-    net_->gossip().send_direct(params_.attacker, params_.victim, "d/block",
-                               encode_to_bytes(block));
+    net_->push_block(params_.attacker, params_.victim, block);
     return false;
 }
 
 void EclipseAttack::heal() {
     if (healed_) return;
     healed_ = true;
-    net_->gossip().set_relay_filter(nullptr);
+    net_->set_relay_filter(nullptr);
     if (params_.feed_private_fork) net_->set_mined_block_hook(nullptr);
     net_->network().heal(partition_);
     // Publish the withheld fork so every peer sees — and, given the honest

@@ -6,8 +6,8 @@
 //   1. Closed-form + Monte Carlo double-spend analysis from the Bitcoin
 //      whitepaper (attacker_success_probability / simulate_attack_success).
 //   2. Pluggable attack drivers that run *inside* the full network simulation
-//      via the consensus-layer interposition hooks (mined-block hook, gossip
-//      relay filter, publish_block): selfish mining (Eyal–Sirer
+//      via the consensus-layer interposition hooks (mined-block hook, relay
+//      filter, publish_block): selfish mining (Eyal–Sirer
 //      withhold/release) and eclipse (bridge a partitioned victim through the
 //      attacker, filtering what it may see). Higher-layer attack compositions
 //      — fee-market spam floods via app::WorkloadEngine, crash-during-reorg
@@ -117,7 +117,7 @@ struct EclipseParams {
     net::NodeId attacker = 0;
     net::NodeId victim = 1;
     /// When true the attacker additionally mines *privately* and pushes its
-    /// secret blocks straight to the victim ("d/block"), so the victim adopts
+    /// secret blocks straight to the victim (push_block), so the victim adopts
     /// an attacker-controlled fork while the honest network never sees it —
     /// the double-spend setup. When false the victim is simply blackholed
     /// (liveness attack only).
@@ -126,10 +126,10 @@ struct EclipseParams {
 
 /// Eclipse driver: cuts the victim from every peer except the attacker using
 /// a named partition (the attacker sits in no group, so it bridges both
-/// sides), then installs a gossip relay filter refusing to forward frames
-/// across the attacker↔victim edge in either direction. Direct "d/" sync
-/// messages stay unfiltered — the victim can still backfill ancestors of
-/// whatever the attacker chooses to show it. heal() reverses everything and
+/// sides), then installs a relay filter refusing to relay transactions and
+/// blocks across the attacker↔victim edge in either direction. Fetch replies
+/// stay unfiltered — the victim can still backfill ancestors of whatever the
+/// attacker chooses to show it. heal() reverses everything and
 /// releases any withheld attacker fork; the victim then reorganizes onto the
 /// honest chain, which is what the scenario scorecard measures.
 class EclipseAttack {

@@ -65,7 +65,7 @@ DagNetwork::DagNetwork(DagParams params, std::uint64_t seed)
 
     network_ = std::make_unique<net::Network>(scheduler_, rng_.fork(0xA));
     gossip_ = std::make_unique<net::GossipOverlay>(
-        *network_, params_.node_count, params_.gossip,
+        *network_, params_.node_count, net::GossipParams{},
         [this](NodeId node, NodeId from, const std::string& topic,
                ByteView payload) { on_gossip(node, from, topic, payload); });
     network_->build_unstructured_overlay(params_.overlay_degree, params_.link);

@@ -53,7 +53,6 @@ struct DagParams {
     std::size_t max_block_bytes = 1'000'000;
     std::size_t max_block_txs = 10'000;
     ledger::ValidationRules validation{};
-    net::GossipParams gossip{};
     net::LinkParams link{};
     std::size_t overlay_degree = 4;
     ledger::MempoolConfig mempool{};

@@ -1,7 +1,5 @@
 // Per-peer chain observer hooks, shared by every block-organized consensus
-// family (Nakamoto single-chain, the DAG ledger). Historically defined inside
-// nakamoto.hpp; hoisted here so consensus/dag can reuse the same observer
-// contract without depending on the Nakamoto simulation.
+// family (the Nakamoto engine, the DAG ledger).
 #pragma once
 
 #include <cstdint>
@@ -14,8 +12,7 @@
 
 namespace dlt::consensus {
 
-/// Pure-observer callbacks fired on one peer's chain events. Historically
-/// peer-0-only; any peer can now be observed via events(node). The analytics
+/// Pure-observer callbacks fired on one peer's chain events. The analytics
 /// layer's ReorgMonitor feeds from these instead of re-walking the chain
 /// store per query. Callbacks must not mutate consensus state — the
 /// determinism contract of src/obs applies.
@@ -26,9 +23,9 @@ namespace dlt::consensus {
 struct ChainEvents {
     /// A block entered the observed peer's store (any branch), at virtual time `at`.
     std::function<void(const ledger::Block&, SimTime at)> on_block_inserted;
-    /// The observed peer reorged: `disconnected` (tip-first) left the active
-    /// chain, `connected` (oldest-first) joined it. Empty `disconnected` =
-    /// extension.
+    /// The observed peer's tip moved: `disconnected` (tip-first) left the
+    /// active chain, `connected` (oldest-first) joined it. Fires on every tip
+    /// change; an empty `disconnected` is an extension.
     std::function<void(const std::vector<Hash256>& disconnected,
                        const std::vector<Hash256>& connected, SimTime at)>
         on_reorg;

@@ -3,6 +3,7 @@
 #include "common/log.hpp"
 #include "common/serialize.hpp"
 #include "crypto/uint256.hpp"
+#include "ledger/difficulty.hpp"
 #include "storage/lsm_backend.hpp"
 
 namespace dlt::core {
@@ -63,7 +64,7 @@ PersistentNode::PersistentNode(std::filesystem::path dir, const ledger::Block& g
     for (const auto& [hash, height] : store_->all_blocks()) {
         const auto block = store_->read_block(hash);
         try {
-            chain_.insert(*block, crypto::U256::one());
+            chain_.insert(*block, ledger::work_from_bits(block->header.bits));
         } catch (const ValidationError&) {
             if (store_->pruned_below() > 0 && height == store_->pruned_below()) {
                 chain_.insert_detached_root(*block, crypto::U256(height + 1));
@@ -196,7 +197,7 @@ void PersistentNode::connect_block(const ledger::Block& block) {
         utxo_.undo_block(undo); // real I/O error: keep the node usable
         throw;
     }
-    chain_.insert(block, crypto::U256::one());
+    chain_.insert(block, ledger::work_from_bits(block.header.bits));
     tip_ = hash;
     height_ += 1;
 }

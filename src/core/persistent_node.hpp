@@ -93,6 +93,8 @@ public:
     std::uint64_t height() const { return height_; }
     const ledger::UtxoSet& utxo() const { return utxo_; }
     const ledger::ChainStore& chain() const { return chain_; }
+    /// The index, which a consensus engine may extend with side branches.
+    ledger::ChainStore& chain() { return chain_; }
     const RecoveryStats& recovery() const { return recovery_; }
     storage::BlockStore& block_store() { return *store_; }
 

@@ -177,21 +177,19 @@ Sha256& Sha256::update(ByteView data) {
 
 Hash256 Sha256::finalize() {
     const std::uint64_t bit_len = total_len_ * 8;
-
-    // Padding: 0x80 then zeros until 8 bytes remain in the block, then the length.
-    std::uint8_t pad = 0x80;
-    update(ByteView{&pad, 1});
-    const std::uint8_t zero = 0x00;
-    while (buffer_len_ != 56) update(ByteView{&zero, 1});
-
-    std::uint8_t len_bytes[8];
+    const detail::Sha256Transform transform = detail::sha256_active_transform();
+    // Padding: 0x80, zeros until 8 bytes remain in a block, then the length.
+    buffer_[buffer_len_++] = 0x80;
+    if (buffer_len_ > 56) {
+        std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+        transform(state_, buffer_, 1);
+        buffer_len_ = 0;
+    }
+    std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
     for (int i = 0; i < 8; ++i)
-        len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    // Write the length directly so total_len_ bookkeeping doesn't matter anymore.
-    std::memcpy(buffer_ + 56, len_bytes, 8);
-    detail::sha256_active_transform()(state_, buffer_, 1);
+        buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    transform(state_, buffer_, 1);
     buffer_len_ = 0;
-
     return digest_of(state_);
 }
 

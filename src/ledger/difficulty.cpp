@@ -55,6 +55,8 @@ U256 work_from_target(const U256& target) {
     return (not_target / tplus1) + U256::one();
 }
 
+U256 work_from_bits(std::uint32_t bits) { return work_from_target(compact_to_target(bits)); }
+
 std::uint32_t retarget(std::uint32_t current_bits, double actual_interval_seconds,
                        const RetargetParams& params) {
     DLT_EXPECTS(actual_interval_seconds > 0);

@@ -24,6 +24,10 @@ bool hash_meets_target(const Hash256& hash, const crypto::U256& target);
 /// Expected work to find one block at `target`: 2^256 / (target+1).
 crypto::U256 work_from_target(const crypto::U256& target);
 
+/// The work a block with compact difficulty `bits` adds to its chain; every
+/// chain index weighs blocks by it.
+crypto::U256 work_from_bits(std::uint32_t bits);
+
 /// Retargeting parameters.
 struct RetargetParams {
     std::uint64_t interval_blocks = 2016;     // blocks between adjustments

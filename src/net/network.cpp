@@ -202,12 +202,6 @@ void Network::schedule_delivery(NodeId from, NodeId to, std::string topic,
         });
 }
 
-void Network::send_to_neighbors(NodeId from, const std::string& topic,
-                                const Bytes& payload) {
-    const auto shared = std::make_shared<const Bytes>(payload);
-    for (const NodeId peer : neighbors(from)) send(from, peer, topic, shared);
-}
-
 void Network::set_crashed(NodeId n, bool crashed) {
     DLT_EXPECTS(n < nodes_.size());
     nodes_[n].crashed = crashed;

@@ -158,9 +158,6 @@ public:
     void send(NodeId from, NodeId to, std::string topic,
               std::shared_ptr<const Bytes> payload);
 
-    /// Convenience: send to every neighbor (one shared buffer, zero copies).
-    void send_to_neighbors(NodeId from, const std::string& topic, const Bytes& payload);
-
     /// Crash / recover a node (fail-stop model for PBFT fault experiments).
     /// A crashed node neither receives nor originates traffic; in-flight
     /// messages it sent before crashing are cut too (nothing from the node is

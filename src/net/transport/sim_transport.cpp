@@ -31,9 +31,21 @@ std::vector<PeerId> SimTransport::peer_ids() const {
 }
 
 bool SimTransport::send(PeerId to, const std::string& topic, ByteView payload) {
-    if (down_) return false;
+    return send_shared(to, topic, std::make_shared<const Bytes>(payload.begin(), payload.end()));
+}
+
+void SimTransport::broadcast_except(PeerId skip, const std::string& topic,
+                                    ByteView payload) {
+    const auto body = std::make_shared<const Bytes>(payload.begin(), payload.end());
+    for (const PeerId p : peer_ids())
+        if (p != skip) send_shared(p, topic, body);
+}
+
+bool SimTransport::send_shared(PeerId to, const std::string& topic,
+                               std::shared_ptr<const Bytes> body) {
+    if (down_ || (hub_->filter_ && !hub_->filter_(id_, to, topic))) return false;
     try {
-        hub_->network_->send(id_, to, topic, Bytes(payload.begin(), payload.end()));
+        hub_->network_->send(id_, to, topic, std::move(body));
     } catch (const ValidationError&) {
         return false; // not currently linked (peer churned away)
     }

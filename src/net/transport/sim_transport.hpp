@@ -9,6 +9,7 @@
 // equivalence contract.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -27,6 +28,9 @@ public:
     std::vector<PeerId> peer_ids() const override;
     void set_handler(Handler handler) override { handler_ = std::move(handler); }
     bool send(PeerId to, const std::string& topic, ByteView payload) override;
+    /// Every recipient shares one copy of the payload.
+    void broadcast_except(PeerId skip, const std::string& topic,
+                          ByteView payload) override;
     double now() const override;
     TimerId schedule_after(double delay_s, std::function<void()> fn) override;
     bool cancel_timer(TimerId id) override;
@@ -38,6 +42,8 @@ private:
     SimTransport(SimTransportHub& hub, PeerId id) : hub_(&hub), id_(id) {}
 
     void deliver(const Delivery& d);
+    bool send_shared(PeerId to, const std::string& topic,
+                     std::shared_ptr<const Bytes> body);
 
     SimTransportHub* hub_;
     PeerId id_;
@@ -57,11 +63,20 @@ public:
     std::size_t node_count() const { return endpoints_.size(); }
     Network& network() { return *network_; }
 
+    /// Send filter, consulted on every send: false drops the message unsent
+    /// (no traffic, no delivery, send() returns false). Models a peer that
+    /// refuses to carry some traffic, such as an eclipse attacker refusing to
+    /// relay to its victim. nullptr clears it.
+    using SendFilter =
+        std::function<bool(PeerId from, PeerId to, const std::string& topic)>;
+    void set_send_filter(SendFilter filter) { filter_ = std::move(filter); }
+
 private:
     friend class SimTransport;
 
     Network* network_;
     std::vector<std::unique_ptr<SimTransport>> endpoints_;
+    SendFilter filter_;
 };
 
 } // namespace dlt::net::transport

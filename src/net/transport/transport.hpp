@@ -65,10 +65,11 @@ public:
 
     /// Send to every current peer (fan-out in peer_ids() order).
     void broadcast(const std::string& topic, ByteView payload) {
-        for (const PeerId p : peer_ids()) send(p, topic, payload);
+        broadcast_except(local_id(), topic, payload);
     }
     /// Fan-out that skips one peer (gossip relays never echo to the sender).
-    void broadcast_except(PeerId skip, const std::string& topic, ByteView payload) {
+    virtual void broadcast_except(PeerId skip, const std::string& topic,
+                                  ByteView payload) {
         for (const PeerId p : peer_ids())
             if (p != skip) send(p, topic, payload);
     }

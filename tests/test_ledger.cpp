@@ -493,6 +493,26 @@ TEST(ChainStore, GhostPrefersHeavySubtreeOverLongChain) {
     (void)b2a;
 }
 
+TEST(ChainStore, FallsBackToTheBestValidTipBothRules) {
+    ChainFixture f;
+    // a1 - a2 - a3 is the most work and the heaviest subtree until a2 fails.
+    const Block a1 = f.extend(f.genesis, 1);
+    const Block a2 = f.extend(a1, 2);
+    f.extend(a2, 3);
+    const Block b1 = f.extend(f.genesis, 10);
+    const Block b2 = f.extend(b1, 11);
+    f.store.mark_invalid(a2.hash());
+    // A block inserted later under the invalid one starts invalid.
+    const Block a4 = f.extend(a2, 4);
+    EXPECT_TRUE(f.store.find(a4.hash())->invalid);
+    EXPECT_FALSE(f.store.find(a1.hash())->invalid);
+    EXPECT_EQ(f.store.best_tip_by_work(), b2.hash());
+    EXPECT_EQ(f.store.best_tip_by_ghost(), b2.hash());
+    f.store.mark_invalid(b1.hash());
+    EXPECT_EQ(f.store.best_tip_by_work(), a1.hash()); // a valid non-leaf
+    EXPECT_EQ(f.store.best_tip_by_ghost(), a1.hash());
+}
+
 TEST(ChainStore, CommonAncestorAcrossBranches) {
     ChainFixture f;
     const Block a1 = f.extend(f.genesis, 1);
