@@ -25,16 +25,23 @@ int main() {
     net.start();
     net.run_for(60.0 * 15);
 
-    const auto miner_key = crypto::PrivateKey::from_seed("nakamoto/miner/0");
     const auto alice = crypto::PrivateKey::from_seed("wallet/alice");
     const auto bob = crypto::PrivateKey::from_seed("wallet/bob");
 
     // --- Payment chain: miner -> alice -> bob ------------------------------------
-    const auto miner_coins = net.utxo_of(0).coins_of(net.miner_address(0));
-    if (miner_coins.empty()) {
+    // The first miner that owns a confirmed coin pays (which miners won
+    // blocks during the warm-up is up to the mining race).
+    net::NodeId payer = 0;
+    while (payer < net.node_count() &&
+           net.utxo_of(0).coins_of(net.miner_address(payer)).empty())
+        ++payer;
+    if (payer == net.node_count()) {
         std::printf("no spendable coins; increase warm-up time\n");
         return 1;
     }
+    const auto miner_key =
+        crypto::PrivateKey::from_seed("nakamoto/miner/" + std::to_string(payer));
+    const auto miner_coins = net.utxo_of(0).coins_of(net.miner_address(payer));
     Transaction to_alice = make_transfer(
         {miner_coins[0].first},
         {TxOutput{miner_coins[0].second.value - 1000, alice.address()}});
