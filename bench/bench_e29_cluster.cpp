@@ -38,12 +38,16 @@ using namespace dlt;
 
 namespace {
 
+/// A fresh directory per run (mkdtemp), so runs at once never share data dirs.
 struct TempDir {
     std::filesystem::path path;
     explicit TempDir(const std::string& tag) {
-        path = std::filesystem::temp_directory_path() / ("dlt-bench-e29-" + tag);
-        std::filesystem::remove_all(path);
-        std::filesystem::create_directories(path);
+        std::string templ =
+            (std::filesystem::temp_directory_path() / ("dlt-bench-e29-" + tag + "-XXXXXX"))
+                .string();
+        if (::mkdtemp(templ.data()) == nullptr)
+            throw Error("bench_e29: mkdtemp(" + templ + ") failed");
+        path = templ;
     }
     ~TempDir() {
         std::error_code ec;

@@ -122,11 +122,13 @@ int main(int argc, char** argv) {
         ::sigaction(SIGTERM, &sa, nullptr);
         ::sigaction(SIGINT, &sa, nullptr);
 
+        // Read before start(): from then on the replica belongs to the loop.
+        const std::uint64_t recovered_height = daemon.replica().height();
         daemon.start();
         std::cout << "READY id=" << node_id
                   << " listen=" << daemon.listen_port()
                   << " rpc=" << daemon.rpc_port()
-                  << " height=" << daemon.replica().height() << "\n"
+                  << " height=" << recovered_height << "\n"
                   << std::flush;
         daemon.wait();
         g_daemon = nullptr;

@@ -1,50 +1,21 @@
 #include "core/node_daemon.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
-#include <future>
+#include <thread>
 
 #include "common/error.hpp"
 #include "common/serialize.hpp"
-#include "net/transport/frame.hpp"
 #include "obs/metrics.hpp"
 
 namespace dlt::core {
-
-using net::transport::Frame;
-using net::transport::FrameDecoder;
-using net::transport::FrameKind;
 
 NodeDaemon::NodeDaemon(NodeDaemonConfig config) : config_(std::move(config)) {
     transport_ =
         std::make_unique<net::transport::TcpTransport>(config_.transport);
     replica_ = std::make_unique<Replica>(*transport_, config_.replica);
-
-    rpc_listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (rpc_listen_fd_ < 0)
-        throw Error(std::string("rpc: socket(): ") + std::strerror(errno));
-    int one = 1;
-    ::setsockopt(rpc_listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(config_.rpc_port);
-    if (::inet_pton(AF_INET, config_.rpc_host.c_str(), &addr.sin_addr) != 1)
-        throw ValidationError("rpc: not an IPv4 address: " + config_.rpc_host);
-    if (::bind(rpc_listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-        throw Error(std::string("rpc: bind(): ") + std::strerror(errno));
-    if (::listen(rpc_listen_fd_, 16) != 0)
-        throw Error(std::string("rpc: listen(): ") + std::strerror(errno));
-    socklen_t len = sizeof(addr);
-    ::getsockname(rpc_listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-    rpc_port_ = ntohs(addr.sin_port);
+    rpc_port_ = transport_->serve_clients(
+        config_.rpc_host, config_.rpc_port,
+        [this](const std::string& method, ByteView body) { return answer(method, body); });
 }
 
 NodeDaemon::~NodeDaemon() {
@@ -57,7 +28,6 @@ void NodeDaemon::start() {
     if (!started_.compare_exchange_strong(expected, true)) return;
     replica_->start(); // timers land in the loop's queue before it spins up
     transport_->start();
-    rpc_thread_ = std::thread([this] { rpc_loop(); });
 }
 
 void NodeDaemon::wait() {
@@ -66,137 +36,44 @@ void NodeDaemon::wait() {
     stop();
 }
 
-template <typename Fn>
-auto NodeDaemon::on_loop(Fn&& fn) {
-    using R = std::invoke_result_t<Fn&>;
-    auto prom = std::make_shared<std::promise<R>>();
-    auto fut = prom->get_future();
-    transport_->post([prom, f = std::forward<Fn>(fn)]() mutable {
-        try {
-            prom->set_value(f());
-        } catch (...) {
-            prom->set_exception(std::current_exception());
-        }
-    });
-    // A shut-down transport drops posted work; don't hang the RPC thread.
-    if (fut.wait_for(std::chrono::seconds(5)) != std::future_status::ready)
-        throw Error("rpc: transport loop unavailable");
-    return fut.get();
-}
-
 void NodeDaemon::stop() {
     request_stop();
     bool expected = false;
     if (!stopped_.compare_exchange_strong(expected, true)) return;
-    if (started_.load()) {
-        try {
-            on_loop([this] {
-                replica_->stop();
-                return true;
-            });
-        } catch (const Error&) {
-            // Loop already gone; timers die with it.
-        }
-    }
     transport_->shutdown();
-    if (rpc_thread_.joinable()) rpc_thread_.join();
-    if (rpc_listen_fd_ >= 0) {
-        ::close(rpc_listen_fd_);
-        rpc_listen_fd_ = -1;
-    }
+    // The loop thread has been joined, so the replica is this thread's now.
+    if (started_.load()) replica_->stop();
 }
 
-void NodeDaemon::rpc_loop() {
-    while (!stop_requested_.load(std::memory_order_acquire)) {
-        pollfd pf{rpc_listen_fd_, POLLIN, 0};
-        const int rc = ::poll(&pf, 1, 100);
-        if (rc <= 0) continue;
-        const int fd = ::accept(rpc_listen_fd_, nullptr, nullptr);
-        if (fd < 0) continue;
-        int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        serve_rpc_client(fd);
-        ::close(fd);
-    }
-}
-
-void NodeDaemon::serve_rpc_client(int fd) {
-    FrameDecoder decoder(config_.transport.frame);
-    std::uint8_t buf[65536];
-    while (!stop_requested_.load(std::memory_order_acquire)) {
-        pollfd pf{fd, POLLIN, 0};
-        const int rc = ::poll(&pf, 1, 100);
-        if (rc < 0 && errno != EINTR) return;
-        if (rc <= 0) continue;
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n == 0) return;
-        if (n < 0) {
-            if (errno == EINTR || errno == EAGAIN) continue;
-            return;
+std::optional<Bytes> NodeDaemon::answer(const std::string& method, ByteView body) {
+    Writer reply;
+    try {
+        if (method == "submit") {
+            const auto tx = decode_from_bytes<ledger::Transaction>(body);
+            reply.u8(replica_->submit_transaction(tx) ? 1 : 0);
+        } else if (method == "status") {
+            reply.u64(replica_->height());
+            reply.fixed(replica_->tip());
+            reply.u64(replica_->confirmed_txs());
+            reply.u64(replica_->mempool_size());
+            reply.u32(static_cast<std::uint32_t>(transport_->connected_peers()));
+            reply.f64(transport_->now());
+        } else if (method == "latencies") {
+            const std::vector<double>& lat = replica_->confirmation_latencies();
+            reply.varint(lat.size());
+            for (const double v : lat) reply.f64(v);
+        } else if (method == "metrics") {
+            reply.str(obs::MetricsRegistry::global().json_snapshot());
+        } else if (method == "shutdown") {
+            reply.u8(1); // written before wait() sees the flag and stops
+            request_stop();
+        } else {
+            return std::nullopt; // unknown method: drop the client
         }
-        try {
-            decoder.feed(ByteView(buf, static_cast<std::size_t>(n)));
-            while (auto frame = decoder.next()) {
-                if (frame->kind != FrameKind::kMessage) return;
-                const auto msg =
-                    net::transport::decode_message_payload(ByteView(frame->payload));
-                Writer reply;
-                if (msg.topic == "submit") {
-                    auto tx = decode_from_bytes<ledger::Transaction>(
-                        ByteView(msg.body));
-                    const bool ok = on_loop(
-                        [this, &tx] { return replica_->submit_transaction(tx); });
-                    reply.u8(ok ? 1 : 0);
-                } else if (msg.topic == "status") {
-                    struct Status {
-                        std::uint64_t height;
-                        Hash256 tip;
-                        std::uint64_t confirmed;
-                        std::uint64_t mempool;
-                    };
-                    const Status s = on_loop([this] {
-                        return Status{replica_->height(), replica_->tip(),
-                                      replica_->confirmed_txs(),
-                                      replica_->mempool_size()};
-                    });
-                    reply.u64(s.height);
-                    reply.fixed(s.tip);
-                    reply.u64(s.confirmed);
-                    reply.u64(s.mempool);
-                    reply.u32(static_cast<std::uint32_t>(
-                        transport_->connected_peers()));
-                    reply.f64(transport_->now());
-                } else if (msg.topic == "latencies") {
-                    const std::vector<double> lat = on_loop(
-                        [this] { return replica_->confirmation_latencies(); });
-                    reply.varint(lat.size());
-                    for (const double v : lat) reply.f64(v);
-                } else if (msg.topic == "metrics") {
-                    reply.str(obs::MetricsRegistry::global().json_snapshot());
-                } else if (msg.topic == "shutdown") {
-                    reply.u8(1);
-                    const Bytes out = net::transport::encode_message_frame(
-                        msg.topic, ByteView(reply.data()));
-                    (void)::send(fd, out.data(), out.size(), MSG_NOSIGNAL);
-                    request_stop();
-                    return;
-                } else {
-                    return; // unknown method: drop the client
-                }
-                const Bytes out = net::transport::encode_message_frame(
-                    msg.topic, ByteView(reply.data()));
-                std::size_t off = 0;
-                while (off < out.size()) {
-                    const ssize_t w = ::send(fd, out.data() + off,
-                                             out.size() - off, MSG_NOSIGNAL);
-                    if (w <= 0) return;
-                    off += static_cast<std::size_t>(w);
-                }
-            }
-        } catch (const Error&) {
-            return; // malformed request or dead loop: drop the client
-        }
+    } catch (const Error&) {
+        return std::nullopt; // malformed request: drop the client
     }
+    return std::move(reply).take();
 }
 
 } // namespace dlt::core

@@ -3,13 +3,17 @@
 // N of to form a loopback cluster (experiment E29).
 //
 // Composition per process:
-//   TcpTransport  — consensus traffic with the other daemons
+//   TcpTransport  — consensus traffic with the other daemons, and the RPC
+//                   port for clients (the cluster driver): frame-codec
+//                   requests served as the transport's client connections.
 //   Replica       — engine logic (Nakamoto or PBFT) + durable chain state
-//   RPC listener  — a second TCP port for clients (the cluster driver):
-//                   frame-codec requests answered synchronously. The RPC
-//                   thread never touches replica state directly; every
-//                   request is posted into the transport loop and awaited,
-//                   preserving the single-threaded protocol contract.
+//
+// There is no RPC thread. Every request is answered on the transport's
+// event-loop thread, which owns the replica, so the single-threaded protocol
+// contract holds with no hand-off. Any number of clients may be connected at
+// once; a reply waits in its client's queue until the client reads it, and a
+// client that stops reading is dropped at max_queue_bytes_per_peer, so no
+// client can stall consensus (tcp_transport.hpp).
 //
 // RPC methods (topic → body → reply body):
 //   submit    Transaction                u8 accepted
@@ -21,7 +25,7 @@
 //   shutdown  (empty)                    u8 1, then the daemon exits cleanly
 //
 // Graceful shutdown (SIGTERM/SIGINT or the shutdown RPC, satellite 3 of E29):
-// stop timers, close every socket, join the loops, exit 0. Chain state needs
+// close every socket, join the loop, stop timers, exit 0. Chain state needs
 // no flush on the way down — every connect was WAL-committed when it
 // happened, and with StateEngine::kPersistent the LSM tag advanced with it,
 // so a clean reopen replays zero WAL records.
@@ -30,7 +34,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
+#include <optional>
 
 #include "core/replica.hpp"
 #include "net/transport/tcp_transport.hpp"
@@ -54,7 +58,8 @@ public:
     NodeDaemon(const NodeDaemon&) = delete;
     NodeDaemon& operator=(const NodeDaemon&) = delete;
 
-    /// Start the transport loop, the replica's timers, and the RPC thread.
+    /// Start the replica's timers and the transport loop, which also serves
+    /// the RPC port.
     void start();
 
     /// Block until stop() is called (signal handler or shutdown RPC).
@@ -73,19 +78,15 @@ public:
     Replica& replica() { return *replica_; }
 
 private:
-    void rpc_loop();
-    void serve_rpc_client(int fd);
-    /// Run `fn` on the transport loop and wait for it (RPC thread only).
-    template <typename Fn>
-    auto on_loop(Fn&& fn);
+    /// One RPC request, on the loop thread: the reply body, or nullopt to
+    /// drop the client (unknown method or malformed body).
+    std::optional<Bytes> answer(const std::string& method, ByteView body);
 
     NodeDaemonConfig config_;
     std::unique_ptr<net::transport::TcpTransport> transport_;
     std::unique_ptr<Replica> replica_;
 
-    int rpc_listen_fd_ = -1;
     std::uint16_t rpc_port_ = 0;
-    std::thread rpc_thread_;
     std::atomic<bool> started_{false};
     std::atomic<bool> stop_requested_{false};
     std::atomic<bool> stopped_{false};

@@ -27,19 +27,30 @@ const ChainEntry* ChainStore::find(const Hash256& hash) const {
 bool ChainStore::insert(const Block& block, const crypto::U256& work) {
     const Hash256 hash = block.hash();
     if (entries_.contains(hash)) return false;
-    const auto parent = entries_.find(block.header.prev_hash);
-    if (parent == entries_.end())
+    const auto parent_it = entries_.find(block.header.prev_hash);
+    if (parent_it == entries_.end())
         throw ValidationError("block parent unknown (orphan)");
+    const ChainEntry& parent = parent_it->second; // references survive a rehash
 
     ChainEntry entry;
     entry.block = block;
     entry.hash = hash;
-    entry.height = parent->second.height + 1;
-    entry.cumulative_work = parent->second.cumulative_work + work;
-    entry.invalid = parent->second.invalid;
-    consider(entries_.emplace(hash, std::move(entry)).first->second);
-    children_[block.header.prev_hash].push_back(hash);
+    entry.height = parent.height + 1;
+    entry.cumulative_work = parent.cumulative_work + work;
+    entry.invalid = parent.invalid;
+    ChainEntry& added = entries_.emplace(hash, std::move(entry)).first->second;
+    consider(added);
     children_.emplace(hash, std::vector<Hash256>{});
+    std::vector<Hash256>& siblings = children_[block.header.prev_hash];
+    siblings.push_back(hash);
+    if (siblings.size() == 2) start_weighing(entries_.at(siblings.front()));
+    if (siblings.size() >= 2) {
+        added.weighed = hash;
+        added.valid_subtree = added.invalid ? 0 : 1;
+    } else {
+        added.weighed = parent.weighed;
+    }
+    if (!added.invalid) add_weight(parent.weighed, 1);
     return true;
 }
 
@@ -73,38 +84,64 @@ void ChainStore::consider(const ChainEntry& entry) {
         best_ = entry.hash;
 }
 
+void ChainStore::start_weighing(ChainEntry& root) {
+    std::uint64_t weight = 0;
+    std::vector<ChainEntry*> stack{&root};
+    while (!stack.empty()) {
+        ChainEntry& entry = *stack.back();
+        stack.pop_back();
+        if (&entry != &root && entry.weighed == entry.hash) {
+            weight += entry.valid_subtree; // a fork below already counts its subtree
+            continue;
+        }
+        entry.weighed = root.hash;
+        if (!entry.invalid) ++weight;
+        for (const auto& child : children(entry.hash)) stack.push_back(&entries_.at(child));
+    }
+    root.valid_subtree = weight;
+}
+
+void ChainStore::add_weight(std::optional<Hash256> from, std::int64_t delta) {
+    // A weighed block's parent is stored: it has several children.
+    while (from) {
+        ChainEntry& entry = entries_.at(*from);
+        entry.valid_subtree += static_cast<std::uint64_t>(delta); // mod 2^64
+        from = entries_.at(entry.block.header.prev_hash).weighed;
+    }
+}
+
 void ChainStore::mark_invalid(const Hash256& hash) {
     DLT_EXPECTS(hash != genesis_hash_);
+    // Every valid block of the subtree turns invalid; the weighed blocks
+    // above lose them.
+    std::int64_t lost = 0;
     std::vector<Hash256> stack{hash};
     while (!stack.empty()) {
         const Hash256 cur = stack.back();
         stack.pop_back();
-        entries_.at(cur).invalid = true;
+        ChainEntry& entry = entries_.at(cur);
+        if (!entry.invalid) ++lost;
+        entry.invalid = true;
+        entry.valid_subtree = 0;
         for (const auto& child : children(cur)) stack.push_back(child);
     }
+    if (const ChainEntry* parent = find(entries_.at(hash).block.header.prev_hash))
+        add_weight(parent->weighed, -lost);
     best_ = genesis_hash_;
     for (const auto& [h, entry] : entries_) consider(entry);
 }
 
 Hash256 ChainStore::best_tip_by_ghost() const {
-    const auto valid_subtree_size = [this](const Hash256& root) {
-        std::size_t count = 0;
-        std::vector<Hash256> stack{root};
-        while (!stack.empty()) {
-            const Hash256 cur = stack.back();
-            stack.pop_back();
-            if (find(cur)->invalid) continue; // so is everything below it
-            ++count;
-            for (const auto& child : children(cur)) stack.push_back(child);
-        }
-        return count;
-    };
     Hash256 cursor = genesis_hash_;
     for (;;) {
         const Hash256* best = nullptr;
-        std::size_t best_weight = 0;
-        for (const auto& kid : children(cursor)) {
-            const std::size_t weight = valid_subtree_size(kid);
+        std::uint64_t best_weight = 0;
+        const std::vector<Hash256>& kids = children(cursor);
+        for (const auto& kid : kids) {
+            // An only child keeps no weight; any valid one wins.
+            const ChainEntry& entry = *find(kid);
+            const std::uint64_t weight =
+                kids.size() == 1 ? (entry.invalid ? 0 : 1) : entry.valid_subtree;
             if (weight > best_weight || (weight == best_weight && weight > 0 && kid < *best)) {
                 best = &kid;
                 best_weight = weight;

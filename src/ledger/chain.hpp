@@ -22,6 +22,13 @@ struct ChainEntry {
     std::uint64_t height = 0;
     crypto::U256 cumulative_work; // sum of per-block work from genesis
     bool invalid = false;         // failed to connect, or descends from one that did
+    /// GHOST weight, kept for each block whose parent has several children
+    /// (the only weights GHOST compares): the valid blocks in its subtree,
+    /// itself included, 0 when invalid.
+    std::uint64_t valid_subtree = 0;
+    /// The nearest block at or above this one that keeps a weight, if any:
+    /// the first weight an insert below this block raises.
+    std::optional<Hash256> weighed;
 };
 
 class ChainStore {
@@ -62,8 +69,11 @@ public:
     Hash256 best_tip_by_work() const { return best_; }
 
     /// GHOST selection (§2.7, Ethereum): walk from genesis, at each fork taking
-    /// the valid child whose subtree holds the most valid blocks, until no
-    /// valid child is left.
+    /// the valid child whose subtree holds the most valid blocks (ties broken
+    /// by lower hash), until no valid child is left. Insert and mark_invalid
+    /// keep the weights of fork children current, raising only those on the
+    /// path (a block on a straight chain costs O(1)), so the walk recounts
+    /// nothing.
     Hash256 best_tip_by_ghost() const;
 
     /// Walk up `steps` ancestors (stops at genesis).
@@ -95,6 +105,11 @@ private:
     const ChainEntry* parent_of(const Hash256& hash) const;
     /// Make `entry` the best tip when it beats the current one.
     void consider(const ChainEntry& entry);
+    /// `root` just got a sibling: give it a weight, and make it the weighed
+    /// block of every block below it that had no nearer one.
+    void start_weighing(ChainEntry& root);
+    /// Add `delta` to the weight of `from` and of every weighed block above.
+    void add_weight(std::optional<Hash256> from, std::int64_t delta);
 
     Hash256 genesis_hash_;
     Hash256 best_;

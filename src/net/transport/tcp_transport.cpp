@@ -6,9 +6,11 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -43,6 +45,54 @@ std::string errno_text(const char* what) {
     return std::string(what) + ": " + std::strerror(errno);
 }
 
+/// A bound, listening, non-blocking socket; `port` 0 lets the kernel pick and
+/// `bound` reports the result. Throws dlt::Error on failure.
+int open_listener(const std::string& host, std::uint16_t port, std::uint16_t& bound) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) throw Error(errno_text("tcp transport: socket()"));
+    try {
+        int one = 1;
+        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+        sockaddr_in addr = make_addr(host, port);
+        if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
+            throw Error(errno_text("tcp transport: bind()"));
+        if (::listen(fd, 64) != 0) throw Error(errno_text("tcp transport: listen()"));
+        socklen_t len = sizeof(addr);
+        if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
+            throw Error(errno_text("tcp transport: getsockname()"));
+        bound = ntohs(addr.sin_port);
+    } catch (...) {
+        ::close(fd);
+        throw;
+    }
+    set_nonblocking(fd);
+    return fd;
+}
+
+/// Accept every connection waiting on `listen_fd`, made non-blocking with
+/// TCP_NODELAY, passing each fd to `adopt`.
+template <typename Adopt>
+void accept_all(int listen_fd, Adopt&& adopt) {
+    while (true) {
+        const int fd = ::accept(listen_fd, nullptr, nullptr);
+        if (fd < 0) {
+            if (errno == EINTR) continue;
+            return; // EAGAIN or transient accept failure: retry next poll
+        }
+        set_nonblocking(fd);
+        set_nodelay(fd);
+        adopt(fd);
+    }
+}
+
+// Bytes asked of one recv(); a shorter read means the socket is drained.
+constexpr std::size_t kReadChunk = 65536;
+// Frames handed to one sendmsg().
+constexpr std::size_t kMaxIov = 64;
+
+// The transport whose event loop runs on this thread, if any.
+thread_local const TcpTransport* t_loop_owner = nullptr;
+
 } // namespace
 
 TcpTransport::TcpTransport(TcpTransportConfig config)
@@ -65,6 +115,10 @@ TcpTransport::TcpTransport(TcpTransportConfig config)
                                "Messages refused because a peer queue was full");
     decode_errors_ = &reg.counter("net_tcp_decode_errors_total",
                                   "Connections dropped on a framing error");
+    clients_dropped_ =
+        &reg.counter("net_tcp_clients_dropped_total",
+                     "Client connections closed because their unsent replies passed "
+                     "the queue cap");
     auto& queue_family = reg.gauge_family("net_tcp_send_queue_bytes",
                                           "Outbound queue depth per peer (bytes)",
                                           {"peer"});
@@ -87,7 +141,7 @@ TcpTransport::TcpTransport(TcpTransportConfig config)
     set_nonblocking(wake_rd_);
     set_nonblocking(wake_wr_);
 
-    open_listener();
+    listen_fd_ = open_listener(config_.listen_host, config_.listen_port, bound_port_);
 }
 
 TcpTransport::~TcpTransport() {
@@ -98,28 +152,12 @@ TcpTransport::~TcpTransport() {
     }
     for (auto& [id, p] : peers_)
         if (p.fd >= 0) ::close(p.fd);
-    for (Pending& pd : pending_)
+    for (Link& pd : pending_)
         if (pd.fd >= 0) ::close(pd.fd);
     if (listen_fd_ >= 0) ::close(listen_fd_);
+    if (client_listen_fd_ >= 0) ::close(client_listen_fd_);
     if (wake_rd_ >= 0) ::close(wake_rd_);
     if (wake_wr_ >= 0) ::close(wake_wr_);
-}
-
-void TcpTransport::open_listener() {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) throw Error(errno_text("tcp transport: socket()"));
-    int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr = make_addr(config_.listen_host, config_.listen_port);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
-        throw Error(errno_text("tcp transport: bind()"));
-    if (::listen(listen_fd_, 64) != 0)
-        throw Error(errno_text("tcp transport: listen()"));
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
-        throw Error(errno_text("tcp transport: getsockname()"));
-    bound_port_ = ntohs(addr.sin_port);
-    set_nonblocking(listen_fd_);
 }
 
 void TcpTransport::start() {
@@ -138,6 +176,16 @@ std::vector<PeerId> TcpTransport::peer_ids() const {
 void TcpTransport::set_handler(Handler handler) {
     DLT_EXPECTS(!running_.load(std::memory_order_acquire));
     handler_ = std::move(handler);
+}
+
+std::uint16_t TcpTransport::serve_clients(const std::string& host, std::uint16_t port,
+                                          ClientHandler handler) {
+    DLT_EXPECTS(!running_.load(std::memory_order_acquire));
+    DLT_EXPECTS(client_listen_fd_ < 0);
+    std::uint16_t bound = 0;
+    client_listen_fd_ = open_listener(host, port, bound);
+    client_handler_ = std::move(handler);
+    return bound;
 }
 
 bool TcpTransport::send(PeerId to, const std::string& topic, ByteView payload) {
@@ -197,14 +245,17 @@ void TcpTransport::post(std::function<void()> fn) {
 void TcpTransport::shutdown() {
     stopping_.store(true, std::memory_order_release);
     wake();
-    if (thread_.get_id() == std::this_thread::get_id())
-        return; // called from a callback: the destructor finishes the join
+    if (on_loop_thread()) return; // from a callback: the destructor joins
     std::lock_guard lk(join_m_);
     if (thread_.joinable()) thread_.join();
 }
 
+bool TcpTransport::on_loop_thread() const { return t_loop_owner == this; }
+
 void TcpTransport::wake() {
-    if (wake_wr_ < 0) return;
+    // The loop re-reads its queues, timers and posted work every iteration
+    // and flushes at the end of it, so only other threads interrupt poll().
+    if (wake_wr_ < 0 || on_loop_thread()) return;
     const std::uint8_t one = 1;
     [[maybe_unused]] const ssize_t n = ::write(wake_wr_, &one, 1);
 }
@@ -221,9 +272,11 @@ TcpTransport::PeerState* TcpTransport::find_peer(PeerId id) {
 }
 
 void TcpTransport::loop() {
+    t_loop_owner = this;
     std::vector<pollfd> pfds;
-    std::vector<PeerId> poll_peers;  // pfds[2 + i] belongs to poll_peers[i]
-    std::vector<int> poll_pending;   // then one entry per pending fd
+    std::vector<PeerId> poll_peers;         // pfds[3 + i] belongs to poll_peers[i]
+    std::vector<int> poll_pending;          // then one entry per pending fd
+    std::vector<std::uint64_t> poll_clients; // then one per client
 
     while (!stopping_.load(std::memory_order_acquire)) {
         const double t = now();
@@ -241,8 +294,10 @@ void TcpTransport::loop() {
         pfds.clear();
         poll_peers.clear();
         poll_pending.clear();
+        poll_clients.clear();
         pfds.push_back({wake_rd_, POLLIN, 0});
         pfds.push_back({listen_fd_, POLLIN, 0});
+        pfds.push_back({client_listen_fd_, POLLIN, 0}); // poll skips fd -1
         {
             std::lock_guard lk(m_);
             for (auto& [id, p] : peers_) {
@@ -261,9 +316,14 @@ void TcpTransport::loop() {
             for (const auto& [id, timer] : timers_)
                 timeout_s = std::min(timeout_s, std::max(0.0, timer.at - t));
         }
-        for (const Pending& pd : pending_) {
+        for (const Link& pd : pending_) {
             pfds.push_back({pd.fd, POLLIN, 0});
             poll_pending.push_back(pd.fd);
+        }
+        for (const auto& [id, c] : clients_) {
+            const short events = c.outq.empty() ? POLLIN : POLLIN | POLLOUT;
+            pfds.push_back({c.fd, events, 0});
+            poll_clients.push_back(id);
         }
 
         const int timeout_ms =
@@ -276,10 +336,11 @@ void TcpTransport::loop() {
         }
 
         if (pfds[0].revents != 0) drain_wake();
-        if (pfds[1].revents != 0) accept_ready();
+        if (pfds[1].revents != 0) accept_peers();
+        if (pfds[2].revents != 0) accept_clients();
 
         for (std::size_t i = 0; i < poll_peers.size(); ++i) {
-            const pollfd& pf = pfds[2 + i];
+            const pollfd& pf = pfds[3 + i];
             if (pf.revents == 0) continue;
             PeerState* p = find_peer(poll_peers[i]);
             if (p == nullptr || p->fd != pf.fd) continue; // replaced meanwhile
@@ -287,12 +348,12 @@ void TcpTransport::loop() {
                 if (pf.revents & (POLLOUT | POLLERR | POLLHUP)) finish_dial(*p);
                 continue;
             }
+            if (pf.revents & POLLOUT) p->blocked = false;
             if (pf.revents & (POLLIN | POLLERR | POLLHUP)) read_peer(*p);
-            if (p->fd >= 0 && (pf.revents & POLLOUT)) flush_peer(*p);
         }
 
         // Pending sockets: match by fd (adoption/closure mutates pending_).
-        const std::size_t pending_base = 2 + poll_peers.size();
+        const std::size_t pending_base = 3 + poll_peers.size();
         for (std::size_t i = 0; i < poll_pending.size(); ++i) {
             if (pfds[pending_base + i].revents == 0) continue;
             const int fd = poll_pending[i];
@@ -305,8 +366,21 @@ void TcpTransport::loop() {
             }
         }
 
+        const std::size_t client_base = pending_base + poll_pending.size();
+        for (std::size_t i = 0; i < poll_clients.size(); ++i) {
+            const short revents = pfds[client_base + i].revents;
+            if (revents == 0) continue;
+            const auto it = clients_.find(poll_clients[i]);
+            if (revents & POLLOUT) it->second.blocked = false;
+            if ((revents & (POLLIN | POLLERR | POLLHUP)) && !read_client(it->second)) {
+                ::close(it->second.fd);
+                clients_.erase(it);
+            }
+        }
+
         fire_due_timers();
         drain_posted();
+        flush_all();
     }
 
     // Teardown on the loop thread so no other thread ever races the sockets.
@@ -315,26 +389,30 @@ void TcpTransport::loop() {
         p.fd = -1;
         p.state = ConnState::kDown;
     }
-    for (Pending& pd : pending_)
+    for (Link& pd : pending_)
         if (pd.fd >= 0) ::close(pd.fd);
     pending_.clear();
+    for (auto& [id, c] : clients_) ::close(c.fd);
+    clients_.clear();
     ready_count_.store(0, std::memory_order_relaxed);
+    t_loop_owner = nullptr;
 }
 
-void TcpTransport::accept_ready() {
-    while (true) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR) continue;
-            return; // EAGAIN or transient accept failure: retry next poll
-        }
-        set_nonblocking(fd);
-        set_nodelay(fd);
-        Pending pd;
+void TcpTransport::accept_peers() {
+    accept_all(listen_fd_, [this](int fd) {
+        Link pd;
         pd.fd = fd;
         pd.decoder = FrameDecoder(config_.frame);
         pending_.push_back(std::move(pd));
-    }
+    });
+}
+
+void TcpTransport::accept_clients() {
+    accept_all(client_listen_fd_, [this](int fd) {
+        Link& c = clients_[next_client_++];
+        c.fd = fd;
+        c.decoder = FrameDecoder(config_.frame);
+    });
 }
 
 void TcpTransport::begin_dial(PeerState& p) {
@@ -374,11 +452,8 @@ void TcpTransport::finish_dial(PeerState& p) {
     p.state = ConnState::kHandshake;
     p.decoder = FrameDecoder(config_.frame);
     p.saw_hello = false;
-    {
-        std::lock_guard lk(m_);
-        queue_hello_locked(p);
-    }
-    flush_peer(p);
+    std::lock_guard lk(m_);
+    queue_hello_locked(p); // written by this iteration's flush
 }
 
 void TcpTransport::queue_hello_locked(PeerState& p) {
@@ -410,6 +485,7 @@ void TcpTransport::close_conn(PeerState& p) {
         ready_count_.fetch_sub(1, std::memory_order_relaxed);
     p.state = ConnState::kDown;
     p.saw_hello = false;
+    p.blocked = false;
     p.decoder = FrameDecoder(config_.frame);
     {
         std::lock_guard lk(m_);
@@ -432,30 +508,37 @@ void TcpTransport::arm_retry(PeerState& p) {
     p.retry_at = now() + p.backoff_s;
 }
 
-void TcpTransport::read_peer(PeerState& p) {
-    std::uint8_t buf[65536];
-    while (p.fd >= 0) {
-        const ssize_t n = ::recv(p.fd, buf, sizeof(buf), 0);
+long TcpTransport::receive(Link& l) {
+    std::uint8_t buf[kReadChunk];
+    while (true) {
+        const ssize_t n = ::recv(l.fd, buf, sizeof(buf), 0);
         if (n > 0) {
-            bytes_received_->inc(static_cast<std::uint64_t>(n));
-            try {
-                p.decoder.feed(ByteView(buf, static_cast<std::size_t>(n)));
-                drain_peer_frames(p);
-            } catch (const DecodeError&) {
-                decode_errors_->inc();
-                close_conn(p);
-                return;
-            }
-            continue;
+            l.decoder.feed(ByteView(buf, static_cast<std::size_t>(n)));
+            return static_cast<long>(n);
         }
+        if (n < 0 && errno == EINTR) continue;
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return -1;
+        return 0;
+    }
+}
+
+void TcpTransport::read_peer(PeerState& p) {
+    while (p.fd >= 0) {
+        const long n = receive(p);
         if (n == 0) {
             close_conn(p);
             return;
         }
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        close_conn(p);
-        return;
+        if (n < 0) return;
+        bytes_received_->inc(static_cast<std::uint64_t>(n));
+        try {
+            drain_peer_frames(p);
+        } catch (const DecodeError&) {
+            decode_errors_->inc();
+            close_conn(p);
+            return;
+        }
+        if (static_cast<std::size_t>(n) < kReadChunk) return; // socket drained
     }
 }
 
@@ -503,81 +586,113 @@ void TcpTransport::drain_peer_frames(PeerState& p) {
     }
 }
 
-void TcpTransport::flush_peer(PeerState& p) {
-    bool broken = false;
-    {
-        std::lock_guard lk(m_);
-        while (!p.outq.empty()) {
-            const Bytes& front = p.outq.front();
-            const ssize_t n = ::send(p.fd, front.data() + p.front_off,
-                                     front.size() - p.front_off, MSG_NOSIGNAL);
-            if (n > 0) {
-                bytes_sent_->inc(static_cast<std::uint64_t>(n));
-                p.front_off += static_cast<std::size_t>(n);
-                if (p.front_off == front.size()) {
-                    frames_sent_->inc();
-                    p.outq_bytes -= front.size();
-                    p.outq.pop_front();
-                    p.front_off = 0;
-                }
-                continue;
-            }
-            if (n < 0 && errno == EINTR) continue;
-            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-            broken = true;
-            break;
+TcpTransport::Written TcpTransport::write_queued(Link& l) {
+    Written out;
+    while (!l.outq.empty()) {
+        std::array<iovec, kMaxIov> iov{};
+        std::size_t count = 0, want = 0;
+        for (auto it = l.outq.begin(); it != l.outq.end() && count < iov.size(); ++it) {
+            const std::size_t skip = count == 0 ? l.front_off : 0;
+            iov[count++] = {const_cast<std::uint8_t*>(it->data()) + skip, it->size() - skip};
+            want += it->size() - skip;
         }
-        p.queue_gauge->set(static_cast<double>(p.outq_bytes));
+        msghdr msg{};
+        msg.msg_iov = iov.data();
+        msg.msg_iovlen = count;
+        const ssize_t n = ::sendmsg(l.fd, &msg, MSG_NOSIGNAL);
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            if (errno == EAGAIN || errno == EWOULDBLOCK)
+                l.blocked = true;
+            else
+                out.broken = true;
+            return out;
+        }
+        out.bytes += static_cast<std::uint64_t>(n);
+        // Pop the frames that went out whole; keep the offset into the next.
+        std::size_t left = static_cast<std::size_t>(n);
+        while (left > 0 && left >= l.outq.front().size() - l.front_off) {
+            left -= l.outq.front().size() - l.front_off;
+            l.outq_bytes -= l.outq.front().size();
+            l.outq.pop_front();
+            l.front_off = 0;
+            ++out.frames;
+        }
+        l.front_off += left;
+        if (static_cast<std::size_t>(n) < want) {
+            l.blocked = true; // the socket buffer is full
+            return out;
+        }
     }
-    if (broken) close_conn(p);
+    return out;
 }
 
-bool TcpTransport::read_pending(Pending& pd) {
-    std::uint8_t buf[4096];
-    while (true) {
-        const ssize_t n = ::recv(pd.fd, buf, sizeof(buf), 0);
-        if (n > 0) {
-            bytes_received_->inc(static_cast<std::uint64_t>(n));
-            std::optional<Frame> frame;
-            try {
-                pd.decoder.feed(ByteView(buf, static_cast<std::size_t>(n)));
-                frame = pd.decoder.next();
-            } catch (const DecodeError&) {
-                handshake_failures_->inc();
-                ::close(pd.fd);
-                return false;
-            }
-            if (!frame) continue; // HELLO still incomplete
-            frames_received_->inc();
-            PeerId from = 0;
-            bool ok = frame->kind == FrameKind::kHello;
-            if (ok) {
-                try {
-                    from = decode_from_bytes<Hello>(ByteView(frame->payload)).node_id;
-                } catch (const DecodeError&) {
-                    ok = false;
-                }
-            }
-            // Only higher-id peers may dial us; anything else is a stranger.
-            PeerState* p = ok ? find_peer(from) : nullptr;
-            if (p == nullptr || p->dialer) {
-                handshake_failures_->inc();
-                ::close(pd.fd);
-                return false;
-            }
-            adopt_pending(pd, from);
-            return false; // fd now owned by the peer entry
+void TcpTransport::flush_all() {
+    std::vector<PeerId> broken_peers;
+    std::vector<std::uint64_t> broken_clients;
+    {
+        std::lock_guard lk(m_);
+        for (auto& [id, p] : peers_) {
+            // A dial in flight writes nothing: its HELLO must go first.
+            if (p.fd < 0 || p.state == ConnState::kConnecting || p.blocked ||
+                p.outq.empty())
+                continue;
+            const Written w = write_queued(p);
+            bytes_sent_->inc(w.bytes);
+            frames_sent_->inc(w.frames);
+            p.queue_gauge->set(static_cast<double>(p.outq_bytes));
+            if (w.broken) broken_peers.push_back(id);
         }
-        if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
+        for (auto& [id, c] : clients_)
+            if (!c.blocked && !c.outq.empty() && write_queued(c).broken)
+                broken_clients.push_back(id);
+    }
+    for (const PeerId id : broken_peers) close_conn(*find_peer(id));
+    for (const std::uint64_t id : broken_clients) {
+        ::close(clients_.at(id).fd);
+        clients_.erase(id);
+    }
+}
+
+bool TcpTransport::read_pending(Link& pd) {
+    std::optional<Frame> frame;
+    try {
+        const long n = receive(pd);
+        if (n < 0) return true; // nothing yet
+        if (n == 0) {
             ::close(pd.fd);
             return false;
         }
-        if (errno == EINTR) continue;
-        return true; // EAGAIN: HELLO not here yet, keep waiting
+        bytes_received_->inc(static_cast<std::uint64_t>(n));
+        frame = pd.decoder.next();
+    } catch (const DecodeError&) {
+        handshake_failures_->inc();
+        ::close(pd.fd);
+        return false;
     }
+    if (!frame) return true; // HELLO still incomplete
+    frames_received_->inc();
+    PeerId from = 0;
+    bool ok = frame->kind == FrameKind::kHello;
+    if (ok) {
+        try {
+            from = decode_from_bytes<Hello>(ByteView(frame->payload)).node_id;
+        } catch (const DecodeError&) {
+            ok = false;
+        }
+    }
+    // Only higher-id peers may dial us; anything else is a stranger.
+    PeerState* p = ok ? find_peer(from) : nullptr;
+    if (p == nullptr || p->dialer) {
+        handshake_failures_->inc();
+        ::close(pd.fd);
+        return false;
+    }
+    adopt_pending(pd, from);
+    return false; // fd now owned by the peer entry
 }
 
-void TcpTransport::adopt_pending(Pending& pd, PeerId id) {
+void TcpTransport::adopt_pending(Link& pd, PeerId id) {
     PeerState& p = *find_peer(id);
     // A peer that reconnects supersedes its old socket (it would not dial
     // again unless its side considered the old connection dead).
@@ -596,9 +711,32 @@ void TcpTransport::adopt_pending(Pending& pd, PeerId id) {
     } catch (const DecodeError&) {
         decode_errors_->inc();
         close_conn(p);
-        return;
     }
-    if (p.fd >= 0) flush_peer(p);
+}
+
+bool TcpTransport::read_client(Link& c) {
+    // One read per poll: a client flooding requests cannot keep the loop from
+    // its peers and timers.
+    const long n = receive(c);
+    if (n == 0) return false;
+    try {
+        while (auto frame = c.decoder.next()) {
+            if (frame->kind != FrameKind::kMessage) return false;
+            const WireMessage msg = decode_message_payload(ByteView(frame->payload));
+            const std::optional<Bytes> reply = client_handler_(msg.topic, ByteView(msg.body));
+            if (!reply) return false;
+            Bytes framed = encode_message_frame(msg.topic, ByteView(*reply));
+            if (c.outq_bytes + framed.size() > config_.max_queue_bytes_per_peer) {
+                clients_dropped_->inc();
+                return false;
+            }
+            c.outq_bytes += framed.size();
+            c.outq.push_back(std::move(framed));
+        }
+    } catch (const DecodeError&) {
+        return false; // not a well-formed request stream
+    }
+    return true;
 }
 
 void TcpTransport::fire_due_timers() {

@@ -2,8 +2,13 @@
 // mode). One endpoint per OS process; peers are (id, host, port) entries in
 // the config. A single event-loop thread owns all I/O:
 //
-//   - non-blocking TCP sockets multiplexed with poll(); a self-pipe wakes the
-//     loop for cross-thread send()/post()/timer arming
+//   - non-blocking TCP sockets multiplexed with poll(). Each iteration reads
+//     what the ready sockets hold (a read ends after a short recv), runs due
+//     timers and posted work, and then writes every connection's queued
+//     frames with one sendmsg each; a connection whose socket refused bytes
+//     waits for POLLOUT. Callbacks running on the loop therefore queue
+//     frames, timers and posted work without a wake-up: the self-pipe is
+//     written only by send()/post()/schedule_after() calls from other threads.
 //   - the lower-id side of every pair *accepts*, the higher-id side *dials*
 //     (deterministic single connection per pair with no simultaneous-open
 //     races); a HELLO exchange (frame.hpp) identifies the peer before any
@@ -18,12 +23,20 @@
 //   - dialers reconnect with exponential backoff (base doubling up to max, so
 //     a restarted peer is re-adopted within ~a backoff period;
 //     net_tcp_reconnects_total counts re-establishments after the first)
+//   - optional client connections (serve_clients()): a second listen socket
+//     whose connections carry request/reply frames in the same codec, served
+//     by the same loop with the same decoder, queue and flush code as peers.
+//     Each request is answered on the loop thread, and the reply waits in the
+//     client's queue until its socket takes it. A client whose unsent replies
+//     would pass max_queue_bytes_per_peer is dropped
+//     (net_tcp_clients_dropped_total), and one read per poll caps the work a
+//     flooding client gets per iteration, so no client can stall the peers.
 //
-// Handler, timer, and post() callbacks all run on the event-loop thread, which
-// satisfies the Transport serialization contract. shutdown() (or destruction)
-// closes every socket and joins the thread; it is idempotent and safe from
-// any thread, including the event-loop thread itself (the join is skipped
-// there and completed by the destructor).
+// Handler, client handler, timer, and post() callbacks all run on the
+// event-loop thread, which satisfies the Transport serialization contract.
+// shutdown() (or destruction) closes every socket and joins the thread; it is
+// idempotent and safe from any thread, including the event-loop thread itself
+// (the join is skipped there and completed by the destructor).
 #pragma once
 
 #include <atomic>
@@ -32,6 +45,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,6 +98,19 @@ public:
         return ready_count_.load(std::memory_order_relaxed);
     }
 
+    /// Answers one client request (topic, body) on the loop thread: the reply
+    /// body, sent back under the request's topic, or nullopt to close the
+    /// client's connection.
+    using ClientHandler =
+        std::function<std::optional<Bytes>(const std::string& topic, ByteView body)>;
+
+    /// Bind a listen socket for request/reply clients (throws dlt::Error when
+    /// the address is taken) and answer their requests with `handler` once
+    /// the loop runs. Call before start(); returns the bound port, which
+    /// resolves a `port` of 0.
+    std::uint16_t serve_clients(const std::string& host, std::uint16_t port,
+                                ClientHandler handler);
+
     // --- Transport -----------------------------------------------------------
     PeerId local_id() const override { return config_.local_id; }
     std::vector<PeerId> peer_ids() const override;
@@ -103,29 +130,29 @@ private:
         kReady,      // handshake complete, messages flow
     };
 
-    // Per-peer connection state. Only the event-loop thread touches sockets,
-    // decoder, and state; the outbound queue (outq/outq_bytes/front_off) is
-    // shared with send() callers and guarded by m_.
-    struct PeerState {
-        TcpPeer cfg;
-        bool dialer = false; // we dial iff our id > peer id
-        ConnState state = ConnState::kDown;
+    // One socket's framing state, shared by peers, accepted sockets awaiting
+    // their HELLO, and clients: the decoder for what it reads and the framed
+    // bytes waiting to be written. A peer's queue is shared with send()
+    // callers on other threads and guarded by m_; everything else belongs to
+    // the event-loop thread.
+    struct Link {
         int fd = -1;
         FrameDecoder decoder;
-        bool saw_hello = false;
-        bool ever_connected = false;
         std::deque<Bytes> outq; // framed bytes awaiting write
         std::size_t outq_bytes = 0;
         std::size_t front_off = 0; // partially written prefix of outq.front()
+        bool blocked = false;      // the socket refused bytes; wait for POLLOUT
+    };
+
+    struct PeerState : Link {
+        TcpPeer cfg;
+        bool dialer = false; // we dial iff our id > peer id
+        ConnState state = ConnState::kDown;
+        bool saw_hello = false;
+        bool ever_connected = false;
         double backoff_s = 0;
         double retry_at = 0; // loop-clock deadline for the next dial
         obs::Gauge* queue_gauge = nullptr; // net_tcp_send_queue_bytes{peer}
-    };
-
-    /// Accepted socket whose HELLO has not arrived yet (peer id unknown).
-    struct Pending {
-        int fd = -1;
-        FrameDecoder decoder;
     };
 
     struct Timer {
@@ -134,17 +161,33 @@ private:
     };
 
     void loop();
-    void open_listener();
-    void accept_ready();
+    bool on_loop_thread() const;
+    void accept_peers();
+    void accept_clients();
     void begin_dial(PeerState& p);
     void finish_dial(PeerState& p);
+    /// One recv() into `l.decoder`: the byte count, 0 on EOF or a socket
+    /// error (close the link), or -1 when the socket had nothing to read.
+    /// Callers count peer bytes; client traffic stays out of the net_tcp_*
+    /// byte and frame counters.
+    long receive(Link& l);
     void read_peer(PeerState& p);
     void drain_peer_frames(PeerState& p);
-    void flush_peer(PeerState& p);
     /// Reads a pending socket; returns false when it should be dropped from
     /// pending_ (closed, or its fd was adopted by a peer).
-    bool read_pending(Pending& pd);
-    void adopt_pending(Pending& pd, PeerId id);
+    bool read_pending(Link& pd);
+    void adopt_pending(Link& pd, PeerId id);
+    /// Reads and answers a client's requests; false when it must be closed.
+    bool read_client(Link& c);
+    struct Written {
+        std::uint64_t bytes = 0, frames = 0; // frames that went out whole
+        bool broken = false;                 // the connection failed
+    };
+    /// Writes `l`'s queue with one sendmsg per batch of frames until it is
+    /// empty or the socket refuses bytes (m_ held).
+    Written write_queued(Link& l);
+    /// End of every loop iteration: write each connection's queued frames.
+    void flush_all();
     void queue_hello_locked(PeerState& p);
     void mark_ready(PeerState& p);
     void close_conn(PeerState& p);
@@ -158,6 +201,7 @@ private:
     TcpTransportConfig config_;
     std::uint16_t bound_port_ = 0;
     int listen_fd_ = -1;
+    int client_listen_fd_ = -1;
     int wake_rd_ = -1, wake_wr_ = -1;
 
     std::thread thread_;
@@ -168,7 +212,10 @@ private:
 
     mutable std::mutex m_; // guards outbound queues + timers_ + posted_
     std::map<PeerId, PeerState> peers_; // keys fixed after construction
-    std::vector<Pending> pending_;
+    std::vector<Link> pending_;                 // accepted, HELLO not yet read
+    std::map<std::uint64_t, Link> clients_;     // keyed by accept order
+    std::uint64_t next_client_ = 0;
+    ClientHandler client_handler_;
     std::map<TimerId, Timer> timers_;
     TimerId next_timer_ = 1;
     std::vector<std::function<void()>> posted_;
@@ -184,6 +231,7 @@ private:
     obs::Counter* handshake_failures_ = nullptr;
     obs::Counter* send_drops_ = nullptr;
     obs::Counter* decode_errors_ = nullptr;
+    obs::Counter* clients_dropped_ = nullptr;
 };
 
 } // namespace dlt::net::transport

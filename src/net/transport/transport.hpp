@@ -85,7 +85,7 @@ public:
     virtual bool cancel_timer(TimerId id) = 0;
 
     /// Run `fn` on the transport's callback thread as soon as possible (the
-    /// cross-thread entry point: RPC threads post work into the loop).
+    /// cross-thread entry point: other threads post work into the loop).
     virtual void post(std::function<void()> fn) = 0;
 
     /// Stop delivering callbacks and release I/O resources. Idempotent; after

@@ -64,6 +64,11 @@ bool LsmBackend::Run::bloom_may_contain(const OutPoint& key) const {
 
 LsmBackend::LsmBackend(const std::filesystem::path& dir, LsmOptions options)
     : dir_(dir), options_(options), block_cache_(options.block_cache_capacity) {
+    auto& registry = obs::MetricsRegistry::global();
+    probes_total_ =
+        &registry.counter("state_run_probes_total", "Sorted-run lookups attempted");
+    bloom_skips_total_ = &registry.counter("state_bloom_skips_total",
+                                           "Run lookups skipped by the bloom filter");
     std::filesystem::create_directories(dir_);
 
     // Heal interrupted flushes/compactions: a .tmp never renamed is garbage.
@@ -319,15 +324,10 @@ std::shared_ptr<const std::vector<LsmBackend::Cell>> LsmBackend::read_block(
 std::optional<std::optional<LsmBackend::TxOutput>> LsmBackend::find_in_run(
     const Run& run, const OutPoint& key) const {
     ++run_probes_;
-    obs::MetricsRegistry::global()
-        .counter("state_run_probes_total", "Sorted-run lookups attempted")
-        .inc();
+    probes_total_->inc();
     if (!run.bloom_may_contain(key)) {
         ++bloom_skips_;
-        obs::MetricsRegistry::global()
-            .counter("state_bloom_skips_total",
-                     "Run lookups skipped by the bloom filter")
-            .inc();
+        bloom_skips_total_->inc();
         return std::nullopt;
     }
     if (run.index.empty()) return std::nullopt;

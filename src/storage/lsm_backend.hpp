@@ -41,6 +41,10 @@
 #include "storage/lru.hpp"
 #include "storage/wal.hpp"
 
+namespace dlt::obs {
+class Counter;
+} // namespace dlt::obs
+
 namespace dlt::storage {
 
 struct LsmOptions {
@@ -162,6 +166,9 @@ private:
         block_cache_;
     mutable std::uint64_t run_probes_ = 0;
     mutable std::uint64_t bloom_skips_ = 0;
+    // Registry counters behind run_probes_/bloom_skips_, resolved once.
+    obs::Counter* probes_total_ = nullptr;
+    obs::Counter* bloom_skips_total_ = nullptr;
     std::uint64_t flushes_ = 0;
     std::uint64_t compactions_ = 0;
     std::uint64_t wal_replayed_ = 0;

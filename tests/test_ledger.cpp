@@ -513,6 +513,70 @@ TEST(ChainStore, FallsBackToTheBestValidTipBothRules) {
     EXPECT_EQ(f.store.best_tip_by_ghost(), a1.hash());
 }
 
+// GHOST as a walk that recounts every candidate's subtree on each call: the
+// reference the store's kept subtree weights must reproduce.
+std::size_t valid_subtree_by_walk(const ChainStore& store, const Hash256& root) {
+    std::size_t count = 0;
+    std::vector<Hash256> stack{root};
+    while (!stack.empty()) {
+        const Hash256 cur = stack.back();
+        stack.pop_back();
+        if (store.find(cur)->invalid) continue; // so is everything below it
+        ++count;
+        for (const auto& child : store.children(cur)) stack.push_back(child);
+    }
+    return count;
+}
+
+Hash256 ghost_by_walk(const ChainStore& store) {
+    Hash256 cursor = store.genesis_hash();
+    for (;;) {
+        const Hash256* best = nullptr;
+        std::size_t best_weight = 0;
+        for (const auto& kid : store.children(cursor)) {
+            const std::size_t weight = valid_subtree_by_walk(store, kid);
+            if (weight > best_weight || (weight == best_weight && weight > 0 && kid < *best)) {
+                best = &kid;
+                best_weight = weight;
+            }
+        }
+        if (best == nullptr) return cursor;
+        cursor = *best;
+    }
+}
+
+TEST(ChainStore, GhostMatchesTheRecountingWalkOnRandomTreesWithInvalidSubtrees) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        ChainFixture f;
+        Rng rng(seed);
+        std::vector<Block> blocks{f.genesis};
+        for (int step = 0; step < 120; ++step) {
+            if (blocks.size() > 1 && rng.uniform(10) == 0) {
+                // Taint a random subtree, as a failed connect does.
+                const Block& victim = blocks[1 + rng.index(blocks.size() - 1)];
+                f.store.mark_invalid(victim.hash());
+            } else {
+                // Mostly extend recent blocks (deep chains), sometimes fork
+                // anywhere, including under invalid blocks.
+                const std::size_t n = blocks.size();
+                const std::size_t parent = rng.uniform(3) == 0
+                                               ? rng.index(n)
+                                               : n - 1 - rng.index(std::min<std::size_t>(n, 4));
+                blocks.push_back(f.extend(blocks[parent], seed * 1000 + step));
+            }
+            ASSERT_EQ(f.store.best_tip_by_ghost(), ghost_by_walk(f.store))
+                << "seed " << seed << " step " << step;
+            // Every block with a sibling carries its subtree's valid count.
+            for (std::size_t i = 1; i < blocks.size(); ++i) {
+                const Hash256 h = blocks[i].hash();
+                if (f.store.children(blocks[i].header.prev_hash).size() < 2) continue;
+                ASSERT_EQ(f.store.find(h)->valid_subtree, valid_subtree_by_walk(f.store, h))
+                    << "seed " << seed << " step " << step;
+            }
+        }
+    }
+}
+
 TEST(ChainStore, CommonAncestorAcrossBranches) {
     ChainFixture f;
     const Block a1 = f.extend(f.genesis, 1);

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "core/persistent_node.hpp"
 #include "crypto/keys.hpp"
 #include "ledger/difficulty.hpp"
@@ -121,6 +122,45 @@ TEST(Crc32c, SeedChains) {
     const auto first = crc32c(ByteView(data).subspan(0, 3));
     const auto chained = crc32c(ByteView(data).subspan(3), first);
     EXPECT_EQ(whole, chained);
+}
+
+// The 32-byte vectors of RFC 3720 appendix B.4 (iSCSI), which uses the
+// same polynomial, bit order and inversions.
+TEST(Crc32c, Rfc3720Vectors) {
+    Bytes ascending(32), descending(32);
+    for (std::uint8_t i = 0; i < 32; ++i) {
+        ascending[i] = i;
+        descending[i] = static_cast<std::uint8_t>(31 - i);
+    }
+    const Bytes zeros(32, 0x00), ones(32, 0xFF);
+    for (const auto crc : {&crc32c, &crc32c_table}) {
+        EXPECT_EQ(crc(ByteView(zeros), 0), 0x8A9136AAu);
+        EXPECT_EQ(crc(ByteView(ones), 0), 0x62A8AB43u);
+        EXPECT_EQ(crc(ByteView(ascending), 0), 0x46DD794Eu);
+        EXPECT_EQ(crc(ByteView(descending), 0), 0x113FDB5Cu);
+    }
+}
+
+// Whichever path crc32c() takes on this CPU (crc32c_hardware() says which),
+// it must agree with the table loop at every length, alignment and seed, and
+// across any split of one buffer into chained pieces.
+TEST(Crc32c, MatchesTheTableLoopOnEveryLengthOffsetAndSplit) {
+    RecordProperty("hardware_path", crc32c_hardware() ? "sse4.2" : "table");
+    Rng rng(20);
+    Bytes buf(4096 + 8);
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+    for (std::size_t len = 0; len <= 4096; ++len) {
+        for (std::size_t off = 0; off < 8; ++off) {
+            const ByteView view = ByteView(buf).subspan(off, len);
+            const auto seed = static_cast<std::uint32_t>(rng.next());
+            ASSERT_EQ(crc32c(view, seed), crc32c_table(view, seed))
+                << "len " << len << " offset " << off;
+        }
+        const ByteView whole = ByteView(buf).subspan(0, len);
+        const auto cut = static_cast<std::size_t>(rng.uniform(len + 1));
+        const auto chained = crc32c(whole.subspan(cut), crc32c(whole.subspan(0, cut)));
+        ASSERT_EQ(chained, crc32c_table(whole)) << "len " << len << " cut " << cut;
+    }
 }
 
 // --- LRU cache ---------------------------------------------------------------------

@@ -3,10 +3,16 @@
 // backpressure behaviour, sim-vs-socket delivery equivalence, replicas
 // converging over the sim backend, the PBFT engine inside core::Replica
 // against Byzantine peers, a crashed primary, message loss and real sockets,
-// the engine's commit and acceptance rules driven message by message, and the
+// the engine's commit and acceptance rules driven message by message, the
 // dlt-node daemon's graceful SIGTERM path observed from the outside (clean
-// exit, zero-replay reopen).
+// exit, zero-replay reopen), and its RPC port served on the transport loop
+// against concurrent, non-reading and slow-loris clients.
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <csignal>
 #include <cstdlib>
@@ -17,6 +23,7 @@
 
 #include "app/cluster.hpp"
 #include "common/rng.hpp"
+#include "core/node_daemon.hpp"
 #include "core/persistent_node.hpp"
 #include "core/replica.hpp"
 #include "crypto/keys.hpp"
@@ -1279,4 +1286,184 @@ TEST(Cluster, SigtermFlushesAndReopensWithZeroWalReplay) {
     EXPECT_TRUE(node.recovery().from_state_engine);
     EXPECT_EQ(node.recovery().wal_records_replayed, 0u);
     EXPECT_EQ(node.recovery().wal_bytes_truncated, 0u);
+}
+
+// --- RPC served on the transport loop ---------------------------------------
+
+namespace {
+
+/// Four PBFT NodeDaemons in this process over loopback, each serving its RPC
+/// port on its transport loop.
+struct DaemonMesh {
+    TempDir dirs;
+    std::vector<std::unique_ptr<core::NodeDaemon>> daemons;
+
+    DaemonMesh(const std::string& tag, std::size_t queue_cap) : dirs(tag) {
+        constexpr std::uint32_t kNodes = 4;
+        for (std::uint32_t id = 0; id < kNodes; ++id) {
+            std::vector<TcpPeer> peers;
+            for (std::uint32_t p = 0; p < kNodes; ++p)
+                if (p != id)
+                    peers.push_back({p, "127.0.0.1",
+                                     p < id ? daemons[p]->listen_port() : std::uint16_t{0}});
+            core::NodeDaemonConfig config;
+            config.transport = tcp_config(id, peers);
+            config.transport.max_queue_bytes_per_peer = queue_cap;
+            config.replica.engine = core::ReplicaEngine::kPbft;
+            config.replica.node_count = kNodes;
+            config.replica.block_interval = 0.1;
+            config.replica.data_dir = dirs.path / ("n" + std::to_string(id));
+            daemons.push_back(std::make_unique<core::NodeDaemon>(config));
+        }
+        for (auto& d : daemons) d->start();
+    }
+
+    app::RpcClient client(std::size_t node) const {
+        app::RpcClient c;
+        EXPECT_TRUE(c.connect("127.0.0.1", daemons[node]->rpc_port(), 5.0));
+        return c;
+    }
+
+    /// Every daemon has confirmed at least `txs` transactions on one tip and
+    /// holds nothing more in its mempool.
+    bool all_confirmed(std::uint64_t txs) const {
+        std::vector<Hash256> tips;
+        for (std::size_t i = 0; i < daemons.size(); ++i) {
+            const auto s = client(i).status();
+            if (!s || s->confirmed_txs < txs || s->mempool_size > 0) return false;
+            tips.push_back(s->tip);
+        }
+        return std::all_of(tips.begin(), tips.end(),
+                           [&](const Hash256& t) { return t == tips.front(); });
+    }
+};
+
+/// A blocking loopback connection to `port`, closed on scope exit, with send
+/// and receive timeouts so a stalled daemon fails the test instead of hanging
+/// it.
+struct RawClient {
+    int fd = -1;
+    FrameDecoder decoder;
+
+    explicit RawClient(std::uint16_t port) : fd(::socket(AF_INET, SOCK_STREAM, 0)) {
+        timeval tv{2, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_port = htons(port);
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    }
+    ~RawClient() { ::close(fd); }
+    RawClient(const RawClient&) = delete;
+    RawClient& operator=(const RawClient&) = delete;
+
+    bool send(ByteView bytes) const {
+        for (std::size_t off = 0; off < bytes.size();) {
+            const ssize_t n =
+                ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+            if (n <= 0) return false;
+            off += static_cast<std::size_t>(n);
+        }
+        return true;
+    }
+
+    /// The next reply frame's body, or nullopt on a timeout or EOF.
+    std::optional<Bytes> reply() {
+        std::uint8_t buf[4096];
+        while (true) {
+            if (auto frame = decoder.next())
+                return decode_message_payload(ByteView(frame->payload)).body;
+            const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+            if (n <= 0) return std::nullopt;
+            decoder.feed(ByteView(buf, static_cast<std::size_t>(n)));
+        }
+    }
+};
+
+Bytes submit_frame(const ledger::Transaction& tx) {
+    return encode_message_frame("submit", ByteView(encode_to_bytes(tx)));
+}
+
+} // namespace
+
+TEST(NodeDaemonRpc, ConcurrentClientsBothGetReplies) {
+    DaemonMesh mesh("rpc-concurrent", 32u << 20);
+    const std::uint16_t port = mesh.daemons[0]->rpc_port();
+    // Both connections stay open, and each request goes out before either
+    // reply is read: a daemon serving one client at a time would leave the
+    // second one's reply waiting until the first disconnects.
+    RawClient a(port), b(port);
+    constexpr std::uint64_t kEach = 40;
+    for (std::uint64_t i = 0; i < kEach; ++i) {
+        ASSERT_TRUE(a.send(ByteView(submit_frame(record_tx(100, i)))));
+        ASSERT_TRUE(b.send(ByteView(submit_frame(record_tx(101, i)))));
+        const auto ra = a.reply(), rb = b.reply();
+        ASSERT_TRUE(ra.has_value() && rb.has_value()) << "request " << i;
+        EXPECT_EQ(*ra, Bytes{1});
+        EXPECT_EQ(*rb, Bytes{1});
+    }
+    EXPECT_TRUE(eventually(20.0, [&] { return mesh.all_confirmed(2 * kEach); }));
+}
+
+TEST(NodeDaemonRpc, ClientThatNeverReadsIsDroppedAtTheCap) {
+    constexpr std::size_t kCap = 256u << 10;
+    DaemonMesh mesh("rpc-unread", kCap);
+    const std::uint64_t dropped_before = counter_value("net_tcp_clients_dropped_total");
+
+    // Submits and metrics snapshots (the large replies) without ever reading:
+    // the replies fill the socket buffers, then the client's queue, until the
+    // daemon drops the connection and the sends fail.
+    {
+        const RawClient stalled(mesh.daemons[0]->rpc_port());
+        const Bytes metrics = encode_message_frame("metrics", ByteView());
+        bool dropped = false;
+        for (std::uint64_t i = 0; i < 20000 && !dropped; ++i)
+            dropped = !stalled.send(ByteView(submit_frame(record_tx(200, i)))) ||
+                      !stalled.send(ByteView(metrics));
+        EXPECT_TRUE(dropped);
+    }
+    EXPECT_GT(counter_value("net_tcp_clients_dropped_total"), dropped_before);
+
+    // The replicas keep committing, the dropping daemon included.
+    app::RpcClient rpc0 = mesh.client(0), rpc1 = mesh.client(1);
+    const auto before = rpc1.status();
+    ASSERT_TRUE(before);
+    for (std::uint64_t i = 0; i < 10; ++i) {
+        EXPECT_TRUE(rpc0.submit(record_tx(201, i)));
+        EXPECT_TRUE(rpc1.submit(record_tx(202, i)));
+    }
+    EXPECT_TRUE(eventually(20.0, [&] {
+        return mesh.all_confirmed(before->confirmed_txs + 20);
+    }));
+}
+
+TEST(NodeDaemonRpc, HalfAFrameDoesNotDelayAnotherClient) {
+    DaemonMesh mesh("rpc-slowloris", 32u << 20);
+    const std::uint16_t port = mesh.daemons[0]->rpc_port();
+
+    // The slow-loris client: half of a submit frame, then silence.
+    RawClient loris(port);
+    const Bytes frame = submit_frame(record_tx(300, 0));
+    ASSERT_TRUE(loris.send(ByteView(frame).subspan(0, frame.size() / 2)));
+
+    // Another client's submit is answered at once (the socket times out
+    // after 2 s), and so is a status request after it.
+    RawClient other(port);
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(other.send(ByteView(submit_frame(record_tx(301, 0)))));
+    const auto reply = other.reply();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(*reply, Bytes{1});
+    ASSERT_TRUE(other.send(ByteView(encode_message_frame("status", ByteView()))));
+    EXPECT_TRUE(other.reply().has_value());
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(),
+              1.0);
+
+    // The stalled client finishing its frame is served too.
+    ASSERT_TRUE(loris.send(ByteView(frame).subspan(frame.size() / 2)));
+    const auto late = loris.reply();
+    ASSERT_TRUE(late.has_value());
+    EXPECT_EQ(*late, Bytes{1});
 }
