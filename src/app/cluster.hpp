@@ -8,7 +8,8 @@
 //   - talks to each daemon over its RPC port with RpcClient (frame-codec
 //     request/response — the same wire format the consensus sockets use),
 //   - injects faults by signal: SIGTERM for the graceful-shutdown path
-//     (exit 0, WAL flushed at every connect), SIGKILL for the crash path,
+//     (exit 0, WAL written at every connect, state engine flushed on exit),
+//     SIGKILL for the crash path,
 //     and restart_node() respawns a node on its old directory and ports so
 //     WAL recovery + protocol catch-up can be observed from outside.
 //

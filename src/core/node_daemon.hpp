@@ -25,10 +25,10 @@
 //   shutdown  (empty)                    u8 1, then the daemon exits cleanly
 //
 // Graceful shutdown (SIGTERM/SIGINT or the shutdown RPC, satellite 3 of E29):
-// close every socket, join the loop, stop timers, exit 0. Chain state needs
-// no flush on the way down — every connect was WAL-committed when it
-// happened, and with StateEngine::kPersistent the LSM tag advanced with it,
-// so a clean reopen replays zero WAL records.
+// close every socket, join the loop, stop timers, exit 0. Every connect was
+// WAL-committed when it happened, and with StateEngine::kPersistent the
+// replica's PersistentNode flushes the LSM engine as it is destroyed, after
+// the loop is joined, so a clean reopen replays zero WAL records.
 #pragma once
 
 #include <atomic>

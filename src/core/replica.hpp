@@ -92,8 +92,9 @@ public:
     void start();
     /// Cancel timers. A PBFT replica then ignores its peers; a Nakamoto one
     /// only stops mining and still takes blocks in, so replicas stopped
-    /// together settle on one tip. The durable node needs no flush — every
-    /// connect was WAL-committed when it happened.
+    /// together settle on one tip. The durable node needs no flush here —
+    /// every connect was WAL-committed when it happened, and the node
+    /// flushes its state engine when it is destroyed.
     void stop();
 
     /// Inject a locally submitted transaction: mempool admission, gossip to

@@ -11,13 +11,14 @@
 //    concatenate — byte-identical to the serial encoding at any DLT_THREADS.
 //
 //  - storage::LsmBackend (storage/lsm_backend.hpp): a crash-safe LSM-flavored
-//    persistent engine (memtable + sorted runs + bloom filters + WAL-journaled
-//    batch commits) for state that outgrows RAM.
+//    persistent engine (memtable + sorted runs + bloom filters) for state that
+//    outgrows RAM.
 //
-// Mutations are plain blind writes; durability is explicit via commit_batch(),
-// which persistent backends journal (in-memory backends ignore it). All
-// backends must agree on iteration order (sorted by OutPoint) so snapshot
-// digests are backend-independent.
+// Mutations are plain blind writes. commit_batch() marks batch boundaries and
+// flush() makes every committed batch durable; a persistent backend may also
+// flush on its own at a boundary, and committed_tag() names what is on disk
+// (in-memory backends ignore all three). All backends must agree on iteration
+// order (sorted by OutPoint) so snapshot digests are backend-independent.
 #pragma once
 
 #include <array>
@@ -70,20 +71,26 @@ public:
     /// they can build the same bytes faster (sharded parallel encode).
     virtual void encode_sorted(Writer& w) const;
 
-    /// Durability point: journal every mutation since the previous commit
-    /// under `tag` (a monotonically increasing sequence the caller assigns —
-    /// PersistentNode uses its WAL seq) together with opaque recovery
-    /// metadata. In-memory backends ignore it.
+    /// Batch boundary: every mutation since the previous commit belongs to
+    /// `tag` (a monotonically increasing sequence the caller assigns —
+    /// PersistentNode uses its WAL seq), recorded with opaque recovery
+    /// metadata. Not a durability point: the batch reaches disk with the next
+    /// flush, which a persistent backend may start here on its own. Until
+    /// then the caller's log must cover it. In-memory backends ignore it.
     virtual void commit_batch(std::uint64_t tag, ByteView meta) {
         (void)tag;
         (void)meta;
     }
 
-    /// Highest tag made durable by commit_batch (0 when never committed or
-    /// not persistent).
+    /// Make every committed batch durable. Call at a batch boundary (no
+    /// mutations since the last commit_batch). A no-op in memory.
+    virtual void flush() {}
+
+    /// Tag of the newest durable batch (0 when nothing was flushed or the
+    /// backend is not persistent).
     virtual std::uint64_t committed_tag() const { return 0; }
 
-    /// Metadata recorded with the highest committed tag (empty when none).
+    /// Metadata recorded with committed_tag() (empty when none).
     virtual Bytes committed_meta() const { return {}; }
 
     /// Deep copy. Persistent backends materialize into an in-memory clone

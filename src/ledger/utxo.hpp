@@ -108,9 +108,10 @@ public:
     /// Revert a block using its undo record (exact inverse of apply_block).
     void undo_block(const UtxoUndo& undo);
 
-    /// Durability point: forward to the backend's batch commit (see
-    /// StateBackend::commit_batch). No-op on in-memory engines.
+    /// Batch boundary and durability point: forward to the backend (see
+    /// StateBackend::commit_batch / flush). No-ops on in-memory engines.
     void commit(std::uint64_t tag, ByteView meta) { backend_->commit_batch(tag, meta); }
+    void flush() { backend_->flush(); }
 
     const StateBackend& backend() const { return *backend_; }
 

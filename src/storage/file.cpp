@@ -8,6 +8,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "obs/metrics.hpp"
+
 namespace dlt::storage {
 
 namespace {
@@ -15,6 +17,15 @@ namespace {
 [[noreturn]] void throw_errno(const std::string& what,
                               const std::filesystem::path& path) {
     throw StorageError(what + " " + path.string() + ": " + std::strerror(errno));
+}
+
+// fsync `fd` and count it; every sync in the storage layer funnels here.
+// Returns false with errno set on failure.
+bool fsync_counted(int fd) {
+    static obs::Counter& fsyncs = obs::MetricsRegistry::global().counter(
+        "storage_fsyncs_total", "fsync calls on storage files and directories");
+    fsyncs.inc();
+    return ::fsync(fd) == 0;
 }
 
 } // namespace
@@ -59,7 +70,7 @@ void AppendFile::append(ByteView data) {
 }
 
 void AppendFile::sync() {
-    if (::fsync(fd_) != 0) throw_errno("fsync", path_);
+    if (!fsync_counted(fd_)) throw_errno("fsync", path_);
 }
 
 void AppendFile::truncate(std::uint64_t new_size) {
@@ -127,7 +138,7 @@ void write_file_atomic(const std::filesystem::path& path, ByteView data) {
             }
             written += static_cast<std::size_t>(n);
         }
-        if (::fsync(fd) != 0) {
+        if (!fsync_counted(fd)) {
             ::close(fd);
             throw_errno("fsync", tmp);
         }
@@ -138,6 +149,16 @@ void write_file_atomic(const std::filesystem::path& path, ByteView data) {
     if (ec)
         throw StorageError("rename " + tmp.string() + " -> " + path.string() + ": " +
                            ec.message());
+    sync_dir(path.parent_path());
+}
+
+void sync_dir(const std::filesystem::path& dir) {
+    const std::filesystem::path target = dir.empty() ? "." : dir;
+    const int fd = ::open(target.c_str(), O_RDONLY | O_DIRECTORY);
+    if (fd < 0) throw_errno("open directory", target);
+    const bool synced = fsync_counted(fd);
+    ::close(fd);
+    if (!synced) throw_errno("fsync", target);
 }
 
 } // namespace dlt::storage

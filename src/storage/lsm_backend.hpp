@@ -1,31 +1,33 @@
 // LSM-flavored persistent UTXO state engine (ROADMAP item 2, E28). State that
 // outgrows RAM lives in immutable sorted run files on disk; recent mutations
-// live in a sorted memtable journaled through the shared storage::Wal, so a
-// batch commit is durable the moment its WAL record is fsynced and crash
-// recovery composes with PersistentNode's own journal (see DESIGN.md "State
-// engine" and src/storage/README.md for the on-disk format).
+// live in a sorted memtable held only in memory. The engine keeps no journal
+// of its own: it is durable at run flush, and the caller's log covers every
+// batch committed since (PersistentNode replays its node-WAL suffix past
+// committed_tag(); see DESIGN.md "State engine" and src/storage/README.md for
+// the on-disk format).
 //
-// Write path:   put/erase mutate the memtable and queue ops in a pending
-//               batch; commit_batch(tag, meta) journals the batch to the
-//               state WAL (the durability point). When the memtable exceeds
-//               its limit the whole table is flushed to a new sorted run
-//               (data blocks + sparse index + bloom filter, all CRC-framed)
-//               and the WAL resets — the run now carries tag + meta.
+// Write path:   put/erase mutate the memtable; commit_batch(tag, meta) marks
+//               a batch boundary. When the memtable exceeds its limit at a
+//               boundary, or on flush(), the whole table is written to a new
+//               sorted run (data blocks + sparse index + bloom filter, all
+//               CRC-framed) that carries the last batch's tag + meta.
 // Read path:    memtable first, then runs newest-generation-first; each run
 //               is consulted through its bloom filter (negative lookups skip
 //               the disk entirely), a binary-searched sparse index, and an
 //               LRU cache of decoded data blocks.
-// Compaction:   when the run count reaches the trigger, a full k-way merge
-//               rewrites every run into one (newest generation wins,
-//               tombstones dropped). Flush and compaction run synchronously
-//               at commit boundaries — never on background threads — so
-//               results are deterministic at any DLT_THREADS.
-// Crash safety: runs are written to a .tmp file, fsynced, then renamed; a
-//               crash at any byte offset leaves either the old WAL + old runs
-//               (replay rebuilds the memtable) or the new run + a stale WAL
-//               whose replay is idempotent. A new compacted run records the
-//               generations it supersedes, so a crash between rename and
-//               old-run deletion is healed on open.
+// Compaction:   when a commit fills the memtable and the run count has
+//               reached the trigger, a full k-way merge rewrites every run
+//               into one (newest generation wins, tombstones dropped). Flush
+//               and compaction run synchronously at commit boundaries — never
+//               on background threads — so results are deterministic at any
+//               DLT_THREADS.
+// Crash safety: runs are written to a .tmp file, fsynced, renamed, and the
+//               directory fsynced; a crash at any byte offset leaves either
+//               the old runs or the old runs + the new one, never a torn run.
+//               A new compacted run records the generations it supersedes,
+//               so a crash between rename and old-run deletion is healed on
+//               open. Batches committed after the newest run die with the
+//               process; the caller replays them.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +41,6 @@
 #include "ledger/state_backend.hpp"
 #include "storage/file.hpp"
 #include "storage/lru.hpp"
-#include "storage/wal.hpp"
 
 namespace dlt::obs {
 class Counter;
@@ -70,11 +71,10 @@ public:
         std::uint64_t compactions = 0;      // full merges this session
         std::uint64_t run_probes = 0;       // run lookups attempted
         std::uint64_t bloom_skips = 0;      // run lookups the bloom rejected
-        std::uint64_t wal_replayed = 0;     // batch records replayed on open
     };
 
-    /// Open (or create) the engine's files under `dir`, replaying the state
-    /// WAL into the memtable and healing any interrupted flush/compaction.
+    /// Open (or create) the engine's files under `dir`, loading its runs and
+    /// healing any interrupted flush/compaction. The memtable starts empty.
     explicit LsmBackend(const std::filesystem::path& dir, LsmOptions options = {});
     ~LsmBackend() override;
 
@@ -89,6 +89,7 @@ public:
     void for_each_sorted(const Visitor& visit) const override;
 
     void commit_batch(std::uint64_t tag, ByteView meta) override;
+    void flush() override;
     std::uint64_t committed_tag() const override { return committed_tag_; }
     Bytes committed_meta() const override { return committed_meta_; }
 
@@ -99,12 +100,6 @@ public:
     Stats stats() const;
 
 private:
-    struct Op {
-        bool is_put = false;
-        OutPoint key;
-        TxOutput value; // meaningful only for puts
-    };
-
     struct Cell {
         OutPoint key;
         bool live = false; // false = tombstone
@@ -133,11 +128,15 @@ private:
         bool bloom_may_contain(const OutPoint& key) const;
     };
 
+    using CellSink = std::function<void(const Cell&)>;
+    using CellSource = std::function<void(const CellSink&)>;
+
     std::filesystem::path run_path(std::uint64_t generation) const;
     void load_run(const std::filesystem::path& path);
-    void write_run(const std::vector<Cell>& cells, std::uint64_t generation,
-                   std::uint64_t max_tag, std::uint64_t covers_below_gen,
-                   ByteView meta);
+    /// Stream the `count` sorted cells `source` emits into a new run under
+    /// the last batch's tag + meta, and install it as the newest run.
+    void write_run(std::uint64_t count, const CellSource& source,
+                   std::uint64_t generation, std::uint64_t covers_below_gen);
     std::shared_ptr<const std::vector<Cell>> read_block(const Run& run,
                                                         const BlockRef& block) const;
     /// Lookup in one run: outer nullopt = absent, inner nullopt = tombstone.
@@ -145,7 +144,7 @@ private:
                                                        const OutPoint& key) const;
     void flush_memtable();
     void compact();
-    void merge_all(const std::function<void(const Cell&)>& emit) const;
+    void merge_all(const CellSink& emit) const;
     void update_gauges() const;
 
     std::filesystem::path dir_;
@@ -153,14 +152,16 @@ private:
 
     /// Sorted write buffer; nullopt marks a tombstone shadowing older runs.
     std::map<OutPoint, std::optional<TxOutput>> memtable_;
-    std::vector<Op> pending_; // mutations since the last commit_batch
-    std::vector<Run> runs_;   // oldest generation first
-    std::unique_ptr<Wal> wal_;
+    std::vector<Run> runs_; // oldest generation first
 
     std::uint64_t next_generation_ = 1;
     std::uint64_t live_size_ = 0;
+    // Tag + meta of the newest run on disk (durable), and of the last
+    // commit_batch (carried by the next run written).
     std::uint64_t committed_tag_ = 0;
     Bytes committed_meta_;
+    std::uint64_t batch_tag_ = 0;
+    Bytes batch_meta_;
 
     mutable LruCache<std::uint64_t, std::shared_ptr<const std::vector<Cell>>>
         block_cache_;
@@ -171,7 +172,6 @@ private:
     obs::Counter* bloom_skips_total_ = nullptr;
     std::uint64_t flushes_ = 0;
     std::uint64_t compactions_ = 0;
-    std::uint64_t wal_replayed_ = 0;
 };
 
 } // namespace dlt::storage

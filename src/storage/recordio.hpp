@@ -1,5 +1,5 @@
 // Shared on-disk record framing for the append-only files of the storage
-// layer (WAL, block file, undo file). Every record is
+// layer (WAL, block file, run files). Every record is
 //
 //   [u32 magic][u32 length][u32 crc32c(payload)][payload bytes]
 //

@@ -77,11 +77,6 @@ std::uint64_t Wal::append(std::uint8_t type, ByteView payload) {
     return seq;
 }
 
-void Wal::sync() {
-    obs::ScopedTimer timer(WalMetrics::get().sync_seconds);
-    file_->sync();
-}
-
 void Wal::reset() {
     file_->truncate(0);
     file_->sync();

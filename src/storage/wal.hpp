@@ -47,9 +47,6 @@ public:
     /// discards on the next open.
     std::uint64_t append(std::uint8_t type, ByteView payload);
 
-    /// Force an fsync regardless of the configured policy.
-    void sync();
-
     /// Truncate the log to empty (after a snapshot makes its contents
     /// redundant). Sequence numbers keep increasing across resets so stale
     /// records can never be mistaken for new ones.
