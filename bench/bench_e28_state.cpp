@@ -7,6 +7,7 @@
 // (the E21 axis), and block-file pruning once snapshots cover history.
 //
 // DLT_E28_QUICK=1 shrinks every dimension for CI smoke runs.
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 
@@ -262,56 +263,82 @@ int main() {
 
     // --- 1: signed-workload apply throughput, backend x state size --------------
     bench::Table apply({"backend", "state-size", "entries", "txs", "seconds", "tx/s"});
-    Bytes digest_inmem_1x, digest_inmem_10x;
-    double inmem_tps_10x = 0, lsm_tps_10x = 0;
-    UtxoSet snapshot_subject; // the 10x in-memory set, reused by section 2
-    for (const bool persistent : {false, true}) {
-        for (const bool big : {false, true}) {
-            const Prefill& prefill = big ? prefill_10x : prefill_1x;
-            TempDir dir(std::string(persistent ? "lsm" : "mem") + (big ? "10x" : "1x"));
-            UtxoSet utxo = [&] {
-                if (!persistent) return UtxoSet();
-                storage::LsmOptions options;
-                options.fsync = storage::FsyncMode::kNever; // durability benched in §3
-                return UtxoSet(std::make_unique<storage::LsmBackend>(dir.path, options));
-            }();
-            load_prefill(utxo, prefill);
-            // Every combination revalidates from scratch: the global sigcache
-            // would otherwise hand later rows the ECDSA work the first row
-            // paid, and the E02 cost model includes signature verification.
-            // Warm-cache (state-engine-only) numbers are section 1b.
-            crypto::SigCache::global().clear();
-            const double seconds = connect_workload(utxo, workload, rules);
-            const double tps =
-                bench::rate_per_sec(static_cast<double>(kSpendable), seconds);
-            apply.row({persistent ? "lsm" : "sharded-memory", big ? "10x" : "1x",
-                       bench::fmt_int(utxo.size()), bench::fmt_int(kSpendable),
-                       bench::fmt(seconds, 3), bench::fmt(tps, 0)});
-            const std::string key = std::string(persistent ? "lsm" : "inmem") +
-                                    "_apply_tps_" + (big ? "10x" : "1x");
-            run.metric(key, tps);
+    UtxoSet snapshot_subject; // the first 10x in-memory set, reused by section 2
+    // One apply of the workload on a fresh backend; returns its tx/s and the
+    // resulting state digest.
+    const auto apply_once = [&](bool persistent, bool big, const std::string& label) {
+        const Prefill& prefill = big ? prefill_10x : prefill_1x;
+        TempDir dir(std::string(persistent ? "lsm" : "mem") + (big ? "10x" : "1x"));
+        UtxoSet utxo = [&] {
+            if (!persistent) return UtxoSet();
+            storage::LsmOptions options;
+            options.fsync = storage::FsyncMode::kNever; // durability benched in §3
+            return UtxoSet(std::make_unique<storage::LsmBackend>(dir.path, options));
+        }();
+        load_prefill(utxo, prefill);
+        // Every combination revalidates from scratch: the global sigcache
+        // would otherwise hand later rows the ECDSA work the first row
+        // paid, and the E02 cost model includes signature verification.
+        // Warm-cache (state-engine-only) numbers are section 1b.
+        crypto::SigCache::global().clear();
+        const double seconds = connect_workload(utxo, workload, rules);
+        const double tps = bench::rate_per_sec(static_cast<double>(kSpendable), seconds);
+        apply.row({persistent ? "lsm" : "sharded-memory", label,
+                   bench::fmt_int(utxo.size()), bench::fmt_int(kSpendable),
+                   bench::fmt(seconds, 3), bench::fmt(tps, 0)});
+        if (!persistent && big && snapshot_subject.size() == 0) snapshot_subject = utxo;
+        return std::pair{tps, scaling::serialize_utxo(utxo)};
+    };
 
-            const Bytes digest = scaling::serialize_utxo(utxo);
-            if (!persistent) {
-                (big ? digest_inmem_10x : digest_inmem_1x) = digest;
-                if (big) snapshot_subject = utxo;
-            } else {
-                const bool match = digest == (big ? digest_inmem_10x : digest_inmem_1x);
-                run.metric(std::string("digest_match_") + (big ? "10x" : "1x"),
-                           static_cast<std::uint64_t>(match ? 1 : 0));
-                if (!match) std::printf("!! backend digest mismatch at %s\n",
-                                        big ? "10x" : "1x");
-            }
-            if (persistent && big) lsm_tps_10x = tps;
-            if (!persistent && big) inmem_tps_10x = tps;
+    // 1x: one apply per backend.
+    const auto [inmem_tps_1x, digest_inmem_1x] = apply_once(false, false, "1x");
+    const auto [lsm_tps_1x, digest_lsm_1x] = apply_once(true, false, "1x");
+    run.metric("inmem_apply_tps_1x", inmem_tps_1x);
+    run.metric("lsm_apply_tps_1x", lsm_tps_1x);
+    run.metric("digest_match_1x",
+               static_cast<std::uint64_t>(digest_lsm_1x == digest_inmem_1x ? 1 : 0));
+    if (digest_lsm_1x != digest_inmem_1x)
+        std::printf("!! backend digest mismatch at 1x\n");
+
+    // 10x: the acceptance row. One run's regression swings by tens of
+    // percent on a shared host, so each backend runs kReps times, in
+    // alternating (memory, LSM) pairs, and the median pair is reported with
+    // the spread. Every pair's digests must match.
+    constexpr int kReps = 5;
+    std::vector<double> inmem_tps_10x, lsm_tps_10x, regressions_10x;
+    bool digests_match_10x = true;
+    for (int rep = 1; rep <= kReps; ++rep) {
+        const std::string label =
+            "10x " + std::to_string(rep) + "/" + std::to_string(kReps);
+        const auto [inmem_tps, inmem_digest] = apply_once(false, true, label);
+        const auto [lsm_tps, lsm_digest] = apply_once(true, true, label);
+        inmem_tps_10x.push_back(inmem_tps);
+        lsm_tps_10x.push_back(lsm_tps);
+        regressions_10x.push_back(inmem_tps > 0 ? 100.0 * (inmem_tps - lsm_tps) / inmem_tps
+                                                : 0);
+        if (lsm_digest != inmem_digest) {
+            digests_match_10x = false;
+            std::printf("!! backend digest mismatch at 10x, run %d\n", rep);
         }
     }
     apply.print();
-    const double regression_pct =
-        inmem_tps_10x > 0 ? 100.0 * (inmem_tps_10x - lsm_tps_10x) / inmem_tps_10x : 0;
+    const auto median = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        return v[v.size() / 2];
+    };
+    const double regression_pct = median(regressions_10x);
+    const auto [regression_min, regression_max] =
+        std::minmax_element(regressions_10x.begin(), regressions_10x.end());
+    run.metric("inmem_apply_tps_10x", median(inmem_tps_10x));
+    run.metric("lsm_apply_tps_10x", median(lsm_tps_10x));
+    run.metric("digest_match_10x", static_cast<std::uint64_t>(digests_match_10x ? 1 : 0));
     run.metric("lsm_regression_pct_10x", regression_pct);
-    std::printf("\nLSM throughput cost at 10x state: %.1f%% (acceptance: < 10%%)\n",
-                regression_pct);
+    run.metric("lsm_regression_pct_10x_min", *regression_min);
+    run.metric("lsm_regression_pct_10x_max", *regression_max);
+    run.metric("apply_reps_10x", static_cast<std::uint64_t>(kReps));
+    std::printf("\nLSM throughput cost at 10x state: median %.1f%% of %d paired runs "
+                "(min %.1f%%, max %.1f%%; acceptance: median < 10%%)\n",
+                regression_pct, kReps, *regression_min, *regression_max);
 
     // --- 1b: state-engine-only costs (warm sigcache, ungated) -------------------
     // With the signature work cached away, only the backend's own lookup /

@@ -159,7 +159,9 @@ bool await_digest_agreement(app::ClusterDriver& cluster, double timeout_s) {
 /// Replay `trace` against a live cluster at wall-clock pace over the offered
 /// window of `offered_s` seconds; when `victim` is set, SIGKILL that node a
 /// third of the way in and restart it at two thirds, requiring recovery +
-/// catch-up.
+/// catch-up. A killed PBFT primary stays down until a survivor has changed
+/// view: restarted sooner, it would resume its view, the backups would repair
+/// the transactions it missed, and no failover would happen.
 ClusterCell run_cluster_cell(core::ReplicaEngine engine, std::size_t nodes,
                              double block_interval,
                              const std::vector<TraceHost::Entry>& trace,
@@ -181,6 +183,13 @@ ClusterCell run_cluster_cell(core::ReplicaEngine engine, std::size_t nodes,
     const double kill_at = trace_end / 3.0;
     const double restart_at = 2.0 * trace_end / 3.0;
     bool killed = false, restarted = !victim;
+    const std::size_t survivor = victim ? (*victim + 1) % nodes : 0;
+    const bool wait_view_change = victim && engine == core::ReplicaEngine::kPbft;
+    const auto restart = [&] {
+        if (!killed || restarted) return;
+        cluster.restart_node(*victim);
+        restarted = true;
+    };
 
     bench::Timer clock;
     for (const auto& entry : trace) {
@@ -192,27 +201,24 @@ ClusterCell run_cluster_cell(core::ReplicaEngine engine, std::size_t nodes,
             if (killed_exit != nullptr) *killed_exit = code;
             killed = true;
         }
-        if (killed && !restarted && clock.elapsed_s() >= restart_at) {
-            cluster.restart_node(*victim);
-            restarted = true;
-        }
+        if (!wait_view_change && clock.elapsed_s() >= restart_at) restart();
         std::size_t target = entry.node % nodes;
         if (!cluster.alive(target)) target = (target + 1) % nodes;
         ++cell.submitted;
         if (cluster.rpc(target).submit(entry.tx)) ++cell.accepted;
     }
-    if (killed && !restarted) {
-        cluster.restart_node(*victim);
-        restarted = true;
-    }
+    if (!wait_view_change) restart();
 
     // Drain: poll until every node has confirmed every accepted transaction
     // (and, after a PBFT failover, a survivor reports its view change), or
     // the timeout. The view change alone takes the engine's 5 s timeout.
-    const std::size_t survivor = victim ? (*victim + 1) % nodes : 0;
-    const bool wait_view_change = victim && engine == core::ReplicaEngine::kPbft;
     bench::Timer settle;
     while (true) {
+        if (wait_view_change) {
+            cell.view_changes = metric_from_json(cluster.rpc(survivor).metrics_json(),
+                                                 "pbft_view_changes_total");
+            if (cell.view_changes >= 1) restart();
+        }
         std::uint64_t least = cell.accepted, most = 0;
         for (std::size_t i = 0; i < cluster.node_count(); ++i) {
             const auto s = cluster.rpc(i).status();
@@ -222,13 +228,11 @@ ClusterCell run_cluster_cell(core::ReplicaEngine engine, std::size_t nodes,
         }
         cell.confirmed = most;
         cell.all_confirmed = least >= cell.accepted;
-        if (wait_view_change)
-            cell.view_changes = metric_from_json(cluster.rpc(survivor).metrics_json(),
-                                                 "pbft_view_changes_total");
         if (cell.all_confirmed && (!wait_view_change || cell.view_changes >= 1)) break;
         if (settle.elapsed_s() >= settle_timeout_s) break;
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
     }
+    restart(); // no view change in time: bring the node back for a clean stop
     cell.tps = bench::rate_per_sec(static_cast<double>(cell.confirmed), offered_s);
 
     cell.digests_agree = await_digest_agreement(cluster, settle_timeout_s);
@@ -256,6 +260,7 @@ struct SimCell {
     double tps = 0;
     double p50 = 0, p99 = 0;
     std::uint64_t confirmed = 0;
+    double tx_frames_per_tx = 0; // "tx" sends per accepted transaction (PBFT)
 };
 
 SimCell run_nakamoto_sim(std::size_t nodes, double block_interval, double tps,
@@ -289,14 +294,22 @@ SimCell run_nakamoto_sim(std::size_t nodes, double block_interval, double tps,
 }
 
 /// The PBFT prediction runs the daemons' own code: four core::Replica over a
-/// simulated full mesh, fed the trace at its virtual times.
+/// simulated full mesh, fed the trace at its virtual times. It also counts
+/// the "tx" frames the replicas send, exactly: the origin's broadcast is
+/// nodes - 1 per transaction, and a lossless mesh needs no repair.
 SimCell run_pbft_sim(std::size_t nodes, double block_interval,
                      const std::vector<TraceHost::Entry>& trace, double duration,
                      const std::filesystem::path& work_dir, std::uint64_t seed) {
+    std::uint64_t tx_frames = 0, accepted = 0;
     sim::Scheduler scheduler;
     net::Network network(scheduler, Rng(seed));
     net::transport::SimTransportHub hub(network, nodes);
     network.build_full_mesh();
+    hub.set_send_filter([&tx_frames](net::transport::PeerId, net::transport::PeerId,
+                                     const std::string& topic) {
+        tx_frames += topic == "tx";
+        return true;
+    });
     std::vector<std::unique_ptr<core::Replica>> replicas;
     for (std::uint32_t id = 0; id < nodes; ++id) {
         core::ReplicaConfig config;
@@ -309,13 +322,15 @@ SimCell run_pbft_sim(std::size_t nodes, double block_interval,
         replicas.back()->start();
     }
     for (const auto& entry : trace)
-        scheduler.schedule_at(entry.at, [&replicas, &entry, nodes] {
-            replicas[entry.node % nodes]->submit_transaction(entry.tx);
+        scheduler.schedule_at(entry.at, [&replicas, &entry, &accepted, nodes] {
+            accepted += replicas[entry.node % nodes]->submit_transaction(entry.tx);
         });
     scheduler.run_until(duration + 5.0); // drain
 
     SimCell cell;
     cell.confirmed = replicas[0]->confirmed_txs();
+    cell.tx_frames_per_tx =
+        accepted > 0 ? static_cast<double>(tx_frames) / static_cast<double>(accepted) : 0;
     cell.tps = bench::rate_per_sec(static_cast<double>(cell.confirmed), duration);
     std::vector<double> lat;
     for (const auto& r : replicas) {
@@ -423,6 +438,9 @@ int main() {
                 "view changes after failover %.0f\n",
                 nk.net_bytes_sent, nk.reconnects, killed_exit, failover_exit,
                 -SIGKILL, fo.view_changes);
+    std::printf("pbft sim: %.2f tx frames per accepted transaction (expected %zu, "
+                "one per peer)\n",
+                pb_sim.tx_frames_per_tx, nodes - 1);
 
     run.metric("nakamoto_wall_tps", nk.tps);
     run.metric("nakamoto_wall_p50_s", nk.p50);
@@ -445,6 +463,7 @@ int main() {
     run.metric("pbft_sim_tps", pb_sim.tps);
     run.metric("pbft_sim_p50_s", pb_sim.p50);
     run.metric("pbft_sim_p99_s", pb_sim.p99);
+    run.metric("pbft_sim_tx_frames_per_tx", pb_sim.tx_frames_per_tx);
     run.metric("rejoin_killed_exit", static_cast<double>(killed_exit));
     run.metric("rejoin_digests_agree", static_cast<std::uint64_t>(kr.digests_agree));
     run.metric("rejoin_clean_exits", static_cast<std::uint64_t>(kr.clean_exits));

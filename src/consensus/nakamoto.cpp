@@ -49,6 +49,14 @@ void count_frame(bool duplicate) {
     (duplicate ? counters().dedup_hits : counters().accepts).inc();
 }
 
+/// A "tx" frame: the txid, then the transaction.
+Bytes tx_frame(const Transaction& tx) {
+    Writer frame;
+    frame.fixed(tx.txid());
+    tx.encode(frame);
+    return std::move(frame).take();
+}
+
 } // namespace
 
 // --- Transaction path ------------------------------------------------------------------
@@ -70,11 +78,12 @@ bool TxRelay::admit(const Transaction& tx, PeerId from) {
 bool TxRelay::submit(const Transaction& tx) {
     if (seen_.contains(tx.txid()) || !admit(tx, transport_.local_id())) return false;
     seen_.insert(tx.txid());
-    Writer frame;
-    frame.fixed(tx.txid());
-    tx.encode(frame);
-    transport_.broadcast("tx", ByteView(frame.data()));
+    transport_.broadcast("tx", ByteView(tx_frame(tx)));
     return true;
+}
+
+void TxRelay::send(PeerId to, const Transaction& tx) {
+    transport_.send(to, "tx", ByteView(tx_frame(tx)));
 }
 
 bool TxRelay::handle(PeerId from, ByteView frame) {
@@ -89,9 +98,7 @@ bool TxRelay::handle(PeerId from, ByteView frame) {
     if (tx.txid() != claimed) return false;
     seen_.insert(claimed);
     count_frame(/*duplicate=*/false);
-    if (!admit(tx, from)) return false;
-    transport_.broadcast_except(from, "tx", frame);
-    return true;
+    return admit(tx, from);
 }
 
 void TxRelay::connected(const Block& block) {
@@ -142,7 +149,9 @@ void NakamotoEngine::stop() {
 void NakamotoEngine::handle(PeerId from, const std::string& topic, ByteView payload) {
     try {
         if (topic == "tx") {
-            txs_.handle(from, payload);
+            // On a random overlay a transaction reaches every peer only if
+            // each one floods what it admits.
+            if (txs_.handle(from, payload)) transport_.broadcast_except(from, "tx", payload);
         } else if (topic == "blk" || topic == "blkreply") {
             on_block(from, payload, topic == "blk");
         } else if (topic == "getblk") {

@@ -75,11 +75,12 @@ struct NakamotoStats {
 
 /// One node's transaction path, shared by every engine that gossips
 /// transactions (NakamotoEngine and the PBFT replica): a seen-set of txids
-/// (relayed to us, submitted here, or confirmed on a connected block), then
-/// mempool admission, then relay of what the pool admitted to every peer but
-/// the sender. A "tx" frame is the sender's txid, then the transaction: a
-/// duplicate costs one 32-byte lookup, and the set only ever holds txids
-/// computed from decoded transactions, so a false id drops only its own frame.
+/// (received from a peer, submitted here, or confirmed on a connected block),
+/// then mempool admission. A transaction submitted here goes to every peer;
+/// where one received from a peer goes next is its engine's choice. A "tx"
+/// frame is the sender's txid, then the transaction: a duplicate costs one
+/// 32-byte lookup, and the set only ever holds txids computed from decoded
+/// transactions, so a false id drops only its own frame.
 class TxRelay {
 public:
     /// With a `lifecycle` tracker, stamps first-seen and mempool admission.
@@ -89,9 +90,13 @@ public:
     /// Admit a transaction submitted here and broadcast it; false when it was
     /// seen before or the pool refused it (a refused one may be resubmitted).
     bool submit(const ledger::Transaction& tx);
-    /// Handle one "tx" frame; true when the pool admitted it. Throws
+    /// Handle one "tx" frame: dedup, then admission. True when the pool
+    /// admitted it. Sends nothing on: NakamotoEngine floods an admitted frame
+    /// to every peer but `from`, and a PBFT replica relays nothing. Throws
     /// DecodeError on a malformed frame.
     bool handle(net::transport::PeerId from, ByteView frame);
+    /// Send one transaction to one peer as a "tx" frame.
+    void send(net::transport::PeerId to, const ledger::Transaction& tx);
     /// A block joined the active chain: its txids are seen, its txs leave the pool.
     void connected(const ledger::Block& block);
     /// A block left the active chain: its txs return to the pool.

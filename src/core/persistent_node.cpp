@@ -130,7 +130,7 @@ PersistentNode::PersistentNode(std::filesystem::path dir, const ledger::Block& g
     wal_->ensure_next_seq_at_least(base_seq + 1);
 
     // Replay the committed journal suffix on top of the base state.
-    for (const auto& rec : wal_->records()) {
+    for (const auto& rec : wal_->take_records()) {
         if (rec.seq <= base_seq) continue;
         Reader r(ByteView(rec.payload));
         const Hash256 hash = r.fixed<32>();

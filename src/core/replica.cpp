@@ -93,6 +93,7 @@ void Replica::arm_sync_timer() {
     sync_timer_ = transport_.schedule_after(config_.sync_interval, [this] {
         if (!running_) return;
         pbft_sync_probe();
+        repair_primary();
         arm_sync_timer();
     });
 }
@@ -233,6 +234,24 @@ void Replica::pbft_sync_probe() {
     Writer w;
     w.u64(node_.height() + 1);
     transport_.broadcast("getseq", ByteView(w.data()));
+}
+
+void Replica::repair_primary() {
+    const ledger::Mempool& pool = txs_.mempool();
+    std::erase_if(repaired_, [&pool](const auto& entry) { return !pool.contains(entry.first); });
+    const PeerId primary = pbft_->view() % config_.node_count;
+    if (primary == transport_.local_id()) return;
+    // A lossless primary proposes what it holds within one block interval;
+    // one sync tick more means its copy was most likely lost. The repair
+    // then lands within block_interval + 2 * sync_interval of admission,
+    // inside the view-change timeout.
+    const double cutoff = transport_.now() - config_.block_interval - config_.sync_interval;
+    for (const Transaction* tx : pool.admitted_before(cutoff)) {
+        std::vector<PeerId>& sent_to = repaired_[tx->txid()];
+        if (std::find(sent_to.begin(), sent_to.end(), primary) != sent_to.end()) continue;
+        sent_to.push_back(primary);
+        txs_.send(primary, *tx);
+    }
 }
 
 } // namespace dlt::core

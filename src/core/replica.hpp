@@ -21,8 +21,15 @@
 //     requesting committed blocks by sequence number ("getseq") and connects
 //     one once f+1 peers return it — the path E29's restart cells exercise.
 //
-// Both take transactions through one consensus::TxRelay (seen-set, mempool
-// admission, relay), as the simulated Nakamoto peers do.
+// Both take transactions through one consensus::TxRelay (seen-set and mempool
+// admission), as the simulated Nakamoto peers do, and a submitted transaction
+// goes to every peer. What a replica received from a peer it relays by
+// engine: a Nakamoto replica floods it on, as a random overlay needs; a PBFT
+// replica sends nothing on, since only the primary must hold a transaction
+// promptly and its pre-prepare carries the block to the backups. To cover a
+// copy lost on the way to the primary, each PBFT sync tick a backup sends the
+// view's primary every pooled transaction that has waited longer than
+// block_interval + sync_interval, at most once per transaction and primary.
 //
 // Durability comes from core::PersistentNode: every connect/disconnect is
 // WAL-journaled under ReplicaConfig::data_dir, so a SIGKILLed replica reopens
@@ -77,8 +84,9 @@ struct ReplicaConfig {
     /// Seed for the replica's private randomness (mining race, peer picks).
     std::uint64_t seed = 1;
     /// Nakamoto: how long a block fetch waits before it is asked again of a
-    /// random peer. PBFT: seconds between sequence requests to every peer,
-    /// and the bootstrap delay after start().
+    /// random peer. PBFT: seconds between sequence requests to every peer
+    /// and between repairs of the primary's missed transactions, and the
+    /// bootstrap delay after start().
     double sync_interval = 0.5;
 };
 
@@ -136,6 +144,9 @@ private:
     bool accepts(std::uint64_t seq, const std::vector<Bytes>& batch) override;
     bool connect_committed(const ledger::Block& block);
     void pbft_sync_probe();
+    /// Backup only: send the view's primary each pooled transaction it seems
+    /// to have missed, at most once per transaction and primary.
+    void repair_primary();
 
     net::transport::Transport& transport_;
     ReplicaConfig config_;
@@ -150,6 +161,8 @@ private:
     std::unique_ptr<consensus::PbftEngine> pbft_;         // kPbft only
     /// Catch-up: the block hash each peer returned for height()+1.
     std::unordered_map<net::transport::PeerId, Hash256> seq_claims_;
+    /// Repair: the primaries each pooled transaction was sent to.
+    std::unordered_map<Hash256, std::vector<net::transport::PeerId>> repaired_;
 
     std::optional<net::transport::TimerId> sync_timer_;
     bool running_ = false;

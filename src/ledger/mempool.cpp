@@ -343,6 +343,18 @@ std::vector<Transaction> Mempool::select(std::size_t max_bytes,
     return selected;
 }
 
+std::vector<const Transaction*> Mempool::admitted_before(SimTime cutoff) const {
+    std::vector<const Entry*> old;
+    for (const auto& [id, entry] : pool_)
+        if (entry.entered < cutoff) old.push_back(&entry);
+    std::sort(old.begin(), old.end(),
+              [](const Entry* a, const Entry* b) { return a->seq < b->seq; });
+    std::vector<const Transaction*> out;
+    out.reserve(old.size());
+    for (const Entry* entry : old) out.push_back(&entry->tx);
+    return out;
+}
+
 void Mempool::remove_confirmed(const std::vector<Hash256>& txids) {
     for (const auto& id : txids) {
         const auto it = pool_.find(id);

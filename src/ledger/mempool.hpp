@@ -171,6 +171,10 @@ public:
     std::vector<Transaction> select(std::size_t max_bytes,
                                     std::size_t max_count = SIZE_MAX) const;
 
+    /// Resident entries admitted before `cutoff`, oldest admission first.
+    /// Pointers are valid until the next pool mutation.
+    std::vector<const Transaction*> admitted_before(SimTime cutoff) const;
+
     /// Drop all transactions included in a confirmed block (not a "drop" for
     /// observer purposes — these succeeded).
     void remove_confirmed(const std::vector<Hash256>& txids);

@@ -2,12 +2,15 @@
 // monotonically increasing sequence number (LSN). A record is committed once
 // append() + sync() return; on open the log replays the valid prefix and
 // truncates any torn tail (a crash mid-write), so the committed prefix is
-// exactly what survives a crash at any byte offset.
+// exactly what survives a crash at any byte offset. The recovered records are
+// handed over once (take_records), so the journal does not stay resident for
+// the life of the process.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -33,12 +36,14 @@ public:
         std::uint64_t truncated_bytes = 0; // torn tail repaired on open
     };
 
-    /// Open (or create) the log at `path`, replaying existing records into
+    /// Open (or create) the log at `path`, reading existing records into
     /// memory and repairing any torn tail.
     explicit Wal(const std::filesystem::path& path, WalOptions options = {});
 
-    /// Records recovered by the constructor, in commit order.
-    const std::vector<WalRecord>& records() const { return records_; }
+    /// Hand over the records recovered by the constructor, in commit order.
+    /// Later calls return nothing: the caller replays them once and the log
+    /// keeps no copy.
+    std::vector<WalRecord> take_records() { return std::exchange(records_, {}); }
     const OpenStats& open_stats() const { return open_stats_; }
 
     /// Append a record and make it durable per the fsync policy. Returns the

@@ -232,12 +232,15 @@ TEST(Wal, AppendReopenRoundTrip) {
         EXPECT_EQ(wal.append(1, Bytes{}), 3u);
     }
     Wal wal(path);
-    ASSERT_EQ(wal.records().size(), 3u);
-    EXPECT_EQ(wal.records()[0].seq, 1u);
-    EXPECT_EQ(wal.records()[0].type, 1);
-    EXPECT_EQ(wal.records()[0].payload, (Bytes{0xAA}));
-    EXPECT_EQ(wal.records()[1].payload, (Bytes{0xBB, 0xCC}));
-    EXPECT_EQ(wal.records()[2].payload, Bytes{});
+    const std::vector<WalRecord> records = wal.take_records();
+    ASSERT_EQ(records.size(), 3u);
+    EXPECT_EQ(records[0].seq, 1u);
+    EXPECT_EQ(records[0].type, 1);
+    EXPECT_EQ(records[0].payload, (Bytes{0xAA}));
+    EXPECT_EQ(records[1].payload, (Bytes{0xBB, 0xCC}));
+    EXPECT_EQ(records[2].payload, Bytes{});
+    EXPECT_TRUE(wal.take_records().empty()); // handed over once; the log keeps no copy
+    EXPECT_EQ(wal.open_stats().records_recovered, 3u);
     EXPECT_EQ(wal.open_stats().truncated_bytes, 0u);
     EXPECT_EQ(wal.append(1, Bytes{0xDD}), 4u); // sequence continues
 }
@@ -273,7 +276,7 @@ TEST(Wal, TornTailTruncatedAtEveryOffset) {
             ++expect_records;
 
         Wal wal(trimmed);
-        EXPECT_EQ(wal.records().size(), expect_records) << "cut at " << cut;
+        EXPECT_EQ(wal.take_records().size(), expect_records) << "cut at " << cut;
         EXPECT_EQ(wal.open_stats().truncated_bytes, cut - boundaries[expect_records])
             << "cut at " << cut;
         // The torn tail must be physically gone so new appends start clean.
@@ -297,8 +300,9 @@ TEST(Wal, CrashInjectorTearsExactlyAtBudget) {
     EXPECT_THROW(wal.append(1, Bytes{7}), CrashError); // dead stays dead
 
     Wal recovered(path);
-    ASSERT_EQ(recovered.records().size(), 1u);
-    EXPECT_EQ(recovered.records()[0].payload, (Bytes{1, 2, 3}));
+    const std::vector<WalRecord> records = recovered.take_records();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].payload, (Bytes{1, 2, 3}));
     EXPECT_EQ(recovered.open_stats().truncated_bytes, 5u);
 }
 
@@ -312,8 +316,9 @@ TEST(Wal, ResetKeepsSequenceMonotonic) {
     EXPECT_EQ(wal.size_bytes(), 0u);
     EXPECT_EQ(wal.append(1, Bytes{3}), 3u); // continues past the reset
     Wal reopened(path);
-    ASSERT_EQ(reopened.records().size(), 1u);
-    EXPECT_EQ(reopened.records()[0].seq, 3u);
+    const std::vector<WalRecord> records = reopened.take_records();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].seq, 3u);
 }
 
 // --- BlockStore --------------------------------------------------------------------

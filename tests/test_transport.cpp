@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <set>
 #include <thread>
 
@@ -648,6 +649,36 @@ TEST(ReplicaSim, PbftConvergesOverSimTransport) {
     EXPECT_EQ(replicas[0]->confirmed_txs(), 15u);
 }
 
+TEST(ReplicaSim, NakamotoFloodsEachTransactionOverEveryLink) {
+    // A random overlay reaches every peer only by flooding, so a Nakamoto
+    // replica relays what it admits to every peer but its sender: with no
+    // block mined, (n - 1)^2 = 9 "tx" frames per transaction on 4 replicas.
+    std::uint64_t tx_frames = 0;
+    TempDir dirs("replica-nakamoto-flood");
+    sim::Scheduler scheduler;
+    net::Network network(scheduler, Rng(23));
+    SimTransportHub hub(network, 4);
+    network.build_full_mesh();
+    hub.set_send_filter([&tx_frames](PeerId, PeerId, const std::string& topic) {
+        tx_frames += topic == "tx";
+        return true;
+    });
+    std::vector<std::unique_ptr<core::Replica>> replicas;
+    for (std::uint32_t id = 0; id < 4; ++id) {
+        core::ReplicaConfig config;
+        config.engine = core::ReplicaEngine::kNakamoto;
+        config.node_count = 4;
+        config.data_dir = dirs.path / ("n" + std::to_string(id));
+        replicas.push_back(std::make_unique<core::Replica>(hub.endpoint(id), config));
+    }
+    constexpr std::uint64_t kTxs = 8;
+    for (std::uint64_t i = 0; i < kTxs; ++i)
+        ASSERT_TRUE(replicas[i % 4]->submit_transaction(record_tx(i, 2)));
+    scheduler.run_until(5.0);
+    for (const auto& r : replicas) EXPECT_EQ(r->mempool_size(), kTxs);
+    EXPECT_EQ(tx_frames, 9 * kTxs);
+}
+
 // --- The PBFT engine inside Replica ------------------------------------------
 
 namespace {
@@ -1030,6 +1061,66 @@ TEST(ReplicaPbft, ConfirmsEverythingUnderMessageLoss) {
     sim.run(90.0);
     EXPECT_TRUE(sim.agree({0, 1, 2, 3}, 20));
     EXPECT_GT(sim.network.stats().messages_lost, 0u);
+}
+
+TEST(ReplicaPbft, SendsEachTransactionToEachReplicaOnce) {
+    // The origin's broadcast reaches every replica and nobody relays it on:
+    // n - 1 = 3 "tx" frames per transaction, where a flood sends 9.
+    std::uint64_t tx_frames = 0;
+    PbftReplicaSim sim("pbft-thin-relay", 43);
+    sim.hub.set_send_filter([&tx_frames](PeerId, PeerId, const std::string& topic) {
+        tx_frames += topic == "tx";
+        return true;
+    });
+    for (std::uint32_t id = 0; id < 4; ++id) sim.boot(id);
+    sim.submit(0, 12, {0, 1, 2, 3});
+    sim.run(20.0);
+    EXPECT_TRUE(sim.agree({0, 1, 2, 3}, 12));
+    EXPECT_EQ(tx_frames, 3u * 12);
+}
+
+TEST(ReplicaPbft, BackupsRepairATransactionThePrimaryMissed) {
+    // Replica 1's "tx" frames to replica 0, the view-0 primary, are lost.
+    // The backups' repair must bring the transaction to the primary before
+    // their view-change timers fire.
+    PbftReplicaSim sim("pbft-repair", 47);
+    sim.hub.set_send_filter([](PeerId from, PeerId to, const std::string& topic) {
+        return topic != "tx" || from != 1 || to != 0;
+    });
+    for (std::uint32_t id = 0; id < 4; ++id) sim.boot(id);
+    const std::uint64_t views_before = counter_value("pbft_view_changes_total");
+    ASSERT_TRUE(sim.replicas[1]->submit_transaction(record_tx(1, 9)));
+    sim.run(consensus::PbftConfig{}.view_change_timeout - 0.5);
+    EXPECT_TRUE(sim.agree({0, 1, 2, 3}, 1));
+    sim.run(10.0);
+    EXPECT_EQ(counter_value("pbft_view_changes_total"), views_before);
+}
+
+TEST(ReplicaPbft, BackupsRepairEachTransactionOncePerPrimary) {
+    // Every "tx" frame to replica 0, the view-0 primary, is lost. Each backup
+    // repairs the transaction to it once, not at every sync tick, and the
+    // view change hands the transaction to replica 1, which orders it.
+    std::map<std::pair<PeerId, PeerId>, int> tx_frames; // by (from, to)
+    PbftReplicaSim sim("pbft-repair-once", 53);
+    sim.hub.set_send_filter([&tx_frames](PeerId from, PeerId to, const std::string& topic) {
+        if (topic != "tx") return true;
+        ++tx_frames[{from, to}];
+        return to != 0;
+    });
+    for (std::uint32_t id = 0; id < 4; ++id) sim.boot(id);
+    const std::uint64_t views_before = counter_value("pbft_view_changes_total");
+    ASSERT_TRUE(sim.replicas[1]->submit_transaction(record_tx(1, 9)));
+    sim.run(30.0);
+    EXPECT_TRUE(sim.agree({0, 1, 2, 3}, 1));
+    EXPECT_GE(counter_value("pbft_view_changes_total") - views_before, 3u);
+    // Replica 1 broadcast it, then each backup repaired it to replica 0 once.
+    EXPECT_EQ((tx_frames[{1, 0}]), 2);
+    EXPECT_EQ((tx_frames[{2, 0}]), 1);
+    EXPECT_EQ((tx_frames[{3, 0}]), 1);
+    const std::pair<PeerId, PeerId> origin_to_primary{1, 0};
+    for (const auto& [link, frames] : tx_frames)
+        EXPECT_LE(frames, link == origin_to_primary ? 2 : 1)
+            << link.first << " -> " << link.second;
 }
 
 namespace {
