@@ -5,7 +5,7 @@
 // the branching regime (interval / delay from 5x down to 0.5x) and measures
 // confirmed-payload throughput for Nakamoto longest-chain, Nakamoto GHOST,
 // and the GHOSTDAG ledger under the same million-user-style demand stream
-// (app::WorkloadEngine via TxHost).
+// (app::WorkloadEngine over either network's SimHarness).
 //
 // DLT_E26_QUICK=1 shrinks the sweep for CI smoke runs.
 // DLT_TRACE / DLT_TRACE_STREAM / DLT_METRICS work as in every bench.
@@ -87,8 +87,7 @@ RowResult run_dag(const SweepConfig& sweep, double interval, std::uint64_t seed)
     consensus::dag::DagNetwork net(params, seed);
     net.start();
 
-    app::TxHostFor<consensus::dag::DagNetwork> host(net);
-    app::WorkloadEngine workload(host, demand(sweep), seed ^ 0xE26);
+    app::WorkloadEngine workload(net, demand(sweep), seed ^ 0xE26);
     workload.start();
     net.run_for(sweep.duration);
     workload.stop();

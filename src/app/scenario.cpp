@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
-
-#include "common/serialize.hpp"
 
 #include "app/workload.hpp"
 #include "common/assert.hpp"
@@ -143,6 +142,55 @@ std::vector<std::vector<net::NodeId>> crash_groups(std::size_t node_count) {
     for (net::NodeId n = 0; n < node_count; ++n)
         groups[n < 3 ? 0 : 1].push_back(n);
     return groups;
+}
+
+/// The attacks both ledger families meet the same way: the eclipse bridge
+/// (EclipseAttack drives either network) and the spam flood. Returns when the
+/// disruption ends, or -1 for spam, which diverges nothing on purpose.
+double schedule_shared_attack(consensus::SimHarness& net, const ScenarioConfig& cfg,
+                              ScenarioAttack attack, std::uint64_t seed,
+                              std::optional<consensus::EclipseAttack>& eclipse,
+                              std::optional<WorkloadEngine>& spam) {
+    sim::Scheduler& sched = net.scheduler();
+    if (attack == ScenarioAttack::kSpam) {
+        spam.emplace(net, spam_demand(cfg), seed + 2);
+        sched.schedule_at(cfg.spam_start_frac * cfg.duration, [&spam] { spam->start(); });
+        sched.schedule_at(cfg.spam_end_frac * cfg.duration, [&spam] { spam->stop(); });
+        return -1.0;
+    }
+    DLT_EXPECTS(attack == ScenarioAttack::kEclipse);
+    consensus::EclipseParams ep;
+    ep.attacker = cfg.attacker;
+    ep.victim = cfg.victim;
+    sched.schedule_at(cfg.eclipse_start_frac * cfg.duration,
+                      [&net, &eclipse, ep] { eclipse.emplace(net, ep); });
+    const double disruption_end = cfg.eclipse_end_frac * cfg.duration;
+    sched.schedule_at(disruption_end, [&eclipse] {
+        if (eclipse) eclipse->heal();
+    });
+    return disruption_end;
+}
+
+/// Run the cell's window in `slice`s, call `finish` (stop the demand, heal,
+/// release what is withheld), then keep running until every peer agrees or
+/// the tail runs out. Returns the reconvergence time after `disruption_end`:
+/// 0 for a cell that never diverges on purpose, -1 when it never reconverged.
+double run_window(consensus::SimHarness& net, double duration, double tail, double slice,
+                  double disruption_end, const std::function<void()>& finish) {
+    double reconv = -1.0;
+    while (net.now() < duration - 1e-9) {
+        net.run_for(std::min(slice, duration - net.now()));
+        if (disruption_end >= 0 && reconv < 0 && net.now() >= disruption_end &&
+            net.converged())
+            reconv = net.now() - disruption_end;
+    }
+    finish();
+    for (; net.now() < duration + tail; net.run_for(slice)) {
+        if (!net.converged()) continue;
+        if (disruption_end >= 0 && reconv < 0) reconv = net.now() - disruption_end;
+        break;
+    }
+    return disruption_end < 0 ? 0.0 : reconv;
 }
 
 // ---------------------------------------------------------------------------
@@ -323,24 +371,9 @@ CellResult run_chain_cell(const ScenarioConfig& cfg, ScenarioEngine engine,
         selfish.emplace(net, cfg.attacker);
         disruption_end = duration;
         break;
-    case ScenarioAttack::kEclipse: {
-        consensus::EclipseParams ep;
-        ep.attacker = cfg.attacker;
-        ep.victim = cfg.victim;
-        sched.schedule_at(cfg.eclipse_start_frac * cfg.duration,
-                          [&net, &eclipse, ep] { eclipse.emplace(net, ep); });
-        disruption_end = cfg.eclipse_end_frac * cfg.duration;
-        sched.schedule_at(disruption_end, [&eclipse] {
-            if (eclipse) eclipse->heal();
-        });
-        break;
-    }
+    case ScenarioAttack::kEclipse:
     case ScenarioAttack::kSpam:
-        spam.emplace(net, spam_demand(cfg), seed + 2);
-        sched.schedule_at(cfg.spam_start_frac * cfg.duration,
-                          [&spam] { spam->start(); });
-        sched.schedule_at(cfg.spam_end_frac * cfg.duration,
-                          [&spam] { spam->stop(); });
+        disruption_end = schedule_shared_attack(net, cfg, attack, seed, eclipse, spam);
         break;
     case ScenarioAttack::kCrashReorg: {
         const double cut_at = cfg.crash_cut_frac * cfg.duration;
@@ -375,32 +408,15 @@ CellResult run_chain_cell(const ScenarioConfig& cfg, ScenarioEngine engine,
 
     net.start();
     demand.start();
-
-    // Main window in half-interval slices so reconvergence is observed with
-    // bounded granularity.
-    const double slice = interval / 2;
-    double reconv = -1.0;
-    while (net.now() < duration - 1e-9) {
-        net.run_for(std::min(slice, duration - net.now()));
-        if (disruption_end >= 0 && reconv < 0 && net.now() >= disruption_end &&
-            net.converged())
-            reconv = net.now() - disruption_end;
-    }
-
-    demand.stop();
-    if (spam) spam->stop();
-    if (selfish) selfish->finish(); // releases the final fork at disruption_end
-    if (eclipse && !eclipse->healed()) eclipse->heal();
-
-    // Reconvergence tail: keep mining until every tip agrees (or give up).
-    while (net.now() < duration + cfg.tail) {
-        if (net.converged()) {
-            if (disruption_end >= 0 && reconv < 0)
-                reconv = net.now() - disruption_end;
-            break;
-        }
-        net.run_for(slice);
-    }
+    // Half-interval slices, so reconvergence is observed with bounded
+    // granularity.
+    const double reconv =
+        run_window(net, duration, cfg.tail, interval / 2, disruption_end, [&] {
+            demand.stop();
+            if (spam) spam->stop();
+            if (selfish) selfish->finish(); // releases the final fork at disruption_end
+            if (eclipse) eclipse->heal();
+        });
     if (shadow) shadow->reopen_and_reconcile(); // final catch-up, then audit
 
     CellResult r;
@@ -409,7 +425,7 @@ CellResult run_chain_cell(const ScenarioConfig& cfg, ScenarioEngine engine,
     r.load_level = load_level;
     r.offered_tps = load_level;
     r.converged = net.converged();
-    r.reconvergence_s = disruption_end < 0 ? 0.0 : reconv;
+    r.reconvergence_s = reconv;
     r.confirmed_tps = static_cast<double>(net.confirmed_tx_count()) / duration;
     r.reorgs = net.stats().reorgs;
     fold_monitors(monitors, net.now(), r);
@@ -453,48 +469,6 @@ CellResult run_chain_cell(const ScenarioConfig& cfg, ScenarioEngine engine,
 // GHOSTDAG cells
 // ---------------------------------------------------------------------------
 
-/// DAG eclipse driver (the consensus::dag::DagNetwork analogue of EclipseAttack): same
-/// partition-plus-relay-filter bridge, with the attacker withholding its own
-/// records from the honest side and direct-feeding them to the victim.
-struct DagEclipse {
-    consensus::dag::DagNetwork& net;
-    net::NodeId attacker;
-    net::NodeId victim;
-    std::string partition;
-    std::vector<Hash256> fork;
-    bool healed = false;
-
-    void engage() {
-        partition = "eclipse/" + std::to_string(victim);
-        std::vector<net::NodeId> honest;
-        for (net::NodeId n = 0; n < net.node_count(); ++n)
-            if (n != attacker && n != victim) honest.push_back(n);
-        net.network().partition(partition, {{victim}, honest});
-        const net::NodeId a = attacker, v = victim;
-        net.gossip().set_relay_filter(
-            [a, v](net::NodeId at, net::NodeId to, const std::string&) {
-                return !((at == a && to == v) || (at == v && to == a));
-            });
-        net.set_produced_record_hook(
-            [this](net::NodeId node, const ledger::Block& record) {
-                if (node != attacker || healed) return true;
-                fork.push_back(record.hash());
-                net.gossip().send_direct(attacker, victim, "d/block",
-                                         encode_to_bytes(record));
-                return false;
-            });
-    }
-
-    void heal() {
-        if (healed) return;
-        healed = true;
-        net.gossip().set_relay_filter(nullptr);
-        net.set_produced_record_hook(nullptr);
-        net.network().heal(partition);
-        for (const Hash256& hash : fork) net.publish_record(attacker, hash);
-    }
-};
-
 CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
                         double load_level) {
     const std::uint64_t seed =
@@ -519,13 +493,11 @@ CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
         monitors[n].attach(net.events(n));
     }
 
-    TxHostFor<consensus::dag::DagNetwork> host(net);
-    WorkloadEngine demand(host, honest_demand(cfg, load_level), seed + 1);
+    WorkloadEngine demand(net, honest_demand(cfg, load_level), seed + 1);
 
     double disruption_end = -1.0;
-    std::optional<TxHostFor<consensus::dag::DagNetwork>> spam_host;
     std::optional<WorkloadEngine> spam;
-    std::optional<DagEclipse> eclipse;
+    std::optional<consensus::EclipseAttack> eclipse;
     std::vector<Hash256> withheld; // selfish burst buffer
     std::uint64_t withheld_total = 0;
     sim::Scheduler& sched = net.scheduler();
@@ -558,19 +530,8 @@ CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
         break;
     }
     case ScenarioAttack::kEclipse:
-        eclipse.emplace(DagEclipse{net, cfg.attacker, cfg.victim});
-        sched.schedule_at(cfg.eclipse_start_frac * cfg.duration,
-                          [&eclipse] { eclipse->engage(); });
-        disruption_end = cfg.eclipse_end_frac * cfg.duration;
-        sched.schedule_at(disruption_end, [&eclipse] { eclipse->heal(); });
-        break;
     case ScenarioAttack::kSpam:
-        spam_host.emplace(net);
-        spam.emplace(*spam_host, spam_demand(cfg), seed + 2);
-        sched.schedule_at(cfg.spam_start_frac * cfg.duration,
-                          [&spam] { spam->start(); });
-        sched.schedule_at(cfg.spam_end_frac * cfg.duration,
-                          [&spam] { spam->stop(); });
+        disruption_end = schedule_shared_attack(net, cfg, attack, seed, eclipse, spam);
         break;
     case ScenarioAttack::kCrashReorg: {
         // Fail-stop composition only: the DAG ledger has no durable node yet
@@ -592,34 +553,15 @@ CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
 
     net.start();
     demand.start();
-
-    const double slice = std::max(interval, 2.0);
-    double reconv = -1.0;
-    while (net.now() < cfg.duration - 1e-9) {
-        net.run_for(std::min(slice, cfg.duration - net.now()));
-        if (disruption_end >= 0 && reconv < 0 && net.now() >= disruption_end &&
-            net.converged())
-            reconv = net.now() - disruption_end;
-    }
-
-    demand.stop();
-    if (spam) spam->stop();
-    if (eclipse) eclipse->heal();
-    if (!withheld.empty()) {
-        for (const Hash256& hash : withheld)
-            net.publish_record(cfg.attacker, hash);
-        withheld.clear();
-    }
-    net.set_produced_record_hook(nullptr);
-
-    while (net.now() < cfg.duration + cfg.tail) {
-        if (net.converged()) {
-            if (disruption_end >= 0 && reconv < 0)
-                reconv = net.now() - disruption_end;
-            break;
-        }
-        net.run_for(slice);
-    }
+    const double reconv = run_window(
+        net, cfg.duration, cfg.tail, std::max(interval, 2.0), disruption_end, [&] {
+            demand.stop();
+            if (spam) spam->stop();
+            if (eclipse) eclipse->heal();
+            for (const Hash256& hash : withheld) net.publish_record(cfg.attacker, hash);
+            withheld.clear();
+            net.set_produced_record_hook(nullptr);
+        });
 
     CellResult r;
     r.engine = ScenarioEngine::kGhostDag;
@@ -627,7 +569,7 @@ CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
     r.load_level = load_level;
     r.offered_tps = load_level;
     r.converged = net.converged();
-    r.reconvergence_s = disruption_end < 0 ? 0.0 : reconv;
+    r.reconvergence_s = reconv;
     r.confirmed_tps =
         static_cast<double>(net.confirmed_tx_count()) / cfg.duration;
     r.reorgs = net.stats().relinearizations;
@@ -667,7 +609,7 @@ CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
         r.attacker_hash_share = 1.0 / static_cast<double>(cfg.node_count);
         r.fork_blocks = withheld_total;
     }
-    if (eclipse) r.fork_blocks = eclipse->fork.size();
+    if (eclipse) r.fork_blocks = eclipse->fork_blocks();
     r.digest = net.order_digest(0).hex();
     return r;
 }

@@ -19,6 +19,21 @@ std::uint64_t splitmix64(std::uint64_t x) {
     return x ^ (x >> 31);
 }
 
+class SimHost final : public TxHost {
+public:
+    explicit SimHost(consensus::SimHarness& net) : net_(net) {}
+    sim::Scheduler& scheduler() override { return net_.scheduler(); }
+    const ledger::Mempool& mempool_of(net::NodeId node) const override {
+        return net_.mempool_of(node);
+    }
+    void submit_transaction(const ledger::Transaction& tx, net::NodeId origin) override {
+        net_.submit_transaction(tx, origin);
+    }
+
+private:
+    consensus::SimHarness& net_;
+};
+
 } // namespace
 
 // --- ZipfSampler (rejection-inversion, Hörmann & Derflinger 1996) -----------
@@ -94,9 +109,10 @@ WorkloadEngine::WorkloadEngine(TxHost& host, WorkloadParams params,
     init();
 }
 
-WorkloadEngine::WorkloadEngine(consensus::NakamotoNetwork& net,
-                               WorkloadParams params, std::uint64_t seed)
-    : owned_host_(std::make_unique<TxHostFor<consensus::NakamotoNetwork>>(net)),
+
+WorkloadEngine::WorkloadEngine(consensus::SimHarness& net, WorkloadParams params,
+                               std::uint64_t seed)
+    : owned_host_(std::make_unique<SimHost>(net)),
       net_(*owned_host_),
       params_(params),
       rng_(seed),

@@ -27,17 +27,16 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "consensus/nakamoto.hpp"
+#include "consensus/sim_harness.hpp"
 #include "sim/scheduler.hpp"
 
 namespace dlt::app {
 
 /// The minimal surface the workload engine needs from a transaction host:
-/// virtual time, a fee market to observe, and a submission entry point. Any
-/// consensus family with the NakamotoNetwork-style surface satisfies it via
-/// TxHostFor — the engine itself stays consensus-agnostic, so the same
-/// million-user demand stream drives chains and the DAG ledger alike (E26's
-/// apples-to-apples requirement).
+/// virtual time, a fee market to observe, and a submission entry point. A
+/// simulated network of either ledger family (consensus::SimHarness) is one,
+/// so the same million-user demand stream drives chains and the DAG ledger
+/// alike (E26's apples-to-apples requirement).
 class TxHost {
 public:
     virtual ~TxHost() = default;
@@ -45,25 +44,6 @@ public:
     virtual const ledger::Mempool& mempool_of(net::NodeId node) const = 0;
     virtual void submit_transaction(const ledger::Transaction& tx,
                                     net::NodeId origin) = 0;
-};
-
-/// Adapter binding TxHost to any network exposing scheduler() / mempool_of()
-/// / submit_transaction() — NakamotoNetwork, consensus::dag::DagNetwork, ...
-template <typename Net>
-class TxHostFor final : public TxHost {
-public:
-    explicit TxHostFor(Net& net) : net_(net) {}
-    sim::Scheduler& scheduler() override { return net_.scheduler(); }
-    const ledger::Mempool& mempool_of(net::NodeId node) const override {
-        return net_.mempool_of(node);
-    }
-    void submit_transaction(const ledger::Transaction& tx,
-                            net::NodeId origin) override {
-        net_.submit_transaction(tx, origin);
-    }
-
-private:
-    Net& net_;
 };
 
 /// Zipf-distributed ranks in [1, n] by rejection-inversion sampling; O(1)
@@ -167,8 +147,8 @@ class WorkloadEngine {
 public:
     /// Drive any transaction host (non-owning; `host` must outlive the engine).
     WorkloadEngine(TxHost& host, WorkloadParams params, std::uint64_t seed);
-    /// Convenience overload for the historical Nakamoto-only surface.
-    WorkloadEngine(consensus::NakamotoNetwork& net, WorkloadParams params,
+    /// Drives a simulated network of either ledger family directly.
+    WorkloadEngine(consensus::SimHarness& net, WorkloadParams params,
                    std::uint64_t seed);
 
     /// Schedule the arrival process (idempotent). Arrivals continue until

@@ -23,23 +23,9 @@ void set_log_level(LogLevel level) { g_level = level; }
 
 namespace detail {
 
-LogContext& log_context() {
-    thread_local LogContext ctx;
-    return ctx;
-}
-
 void log_write(LogLevel level, std::string_view component, std::string_view message) {
-    const LogContext& ctx = log_context();
     std::ostringstream line;
-    line << '[' << level_name(level) << "] " << component;
-    if (ctx.sim_time || ctx.node_id) {
-        line << " (";
-        if (ctx.sim_time) line << "t=" << *ctx.sim_time;
-        if (ctx.sim_time && ctx.node_id) line << ' ';
-        if (ctx.node_id) line << "n=" << *ctx.node_id;
-        line << ')';
-    }
-    line << ": " << message << '\n';
+    line << '[' << level_name(level) << "] " << component << ": " << message << '\n';
     // One stream insertion so concurrent threads never interleave mid-line.
     std::clog << line.str();
 }

@@ -1,16 +1,8 @@
 // Minimal leveled logger. Off by default so tests and benchmarks stay quiet;
 // examples turn it on for narrative output.
-//
-// Optional context injection (see src/common/README.md): RAII scopes stamp the
-// current virtual time and node id into a thread-local slot, and every line
-// logged while a scope is live carries "(t=<sim-time> n=<node>)" after the
-// component. Simulation handlers wrap themselves in these scopes so interleaved
-// multi-node logs stay attributable.
 #pragma once
 
-#include <cstdint>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string_view>
 
@@ -24,46 +16,7 @@ void set_log_level(LogLevel level);
 
 namespace detail {
 void log_write(LogLevel level, std::string_view component, std::string_view message);
-
-/// Thread-local log context: virtual time and node id of the code currently
-/// running (unset outside a scope).
-struct LogContext {
-    std::optional<double> sim_time;
-    std::optional<std::uint32_t> node_id;
-};
-LogContext& log_context();
 } // namespace detail
-
-/// RAII: stamps the virtual time into the thread-local log context for the
-/// scope's lifetime (restores the previous value on exit, so scopes nest).
-class ScopedLogTime {
-public:
-    explicit ScopedLogTime(double sim_time)
-        : previous_(detail::log_context().sim_time) {
-        detail::log_context().sim_time = sim_time;
-    }
-    ~ScopedLogTime() { detail::log_context().sim_time = previous_; }
-    ScopedLogTime(const ScopedLogTime&) = delete;
-    ScopedLogTime& operator=(const ScopedLogTime&) = delete;
-
-private:
-    std::optional<double> previous_;
-};
-
-/// RAII: stamps the acting node id into the thread-local log context.
-class ScopedLogNode {
-public:
-    explicit ScopedLogNode(std::uint32_t node_id)
-        : previous_(detail::log_context().node_id) {
-        detail::log_context().node_id = node_id;
-    }
-    ~ScopedLogNode() { detail::log_context().node_id = previous_; }
-    ScopedLogNode(const ScopedLogNode&) = delete;
-    ScopedLogNode& operator=(const ScopedLogNode&) = delete;
-
-private:
-    std::optional<std::uint32_t> previous_;
-};
 
 /// Stream-style log statement: DLT_LOG(kInfo, "consensus") << "new tip " << h;
 class LogLine {

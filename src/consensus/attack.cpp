@@ -166,7 +166,7 @@ double proposer_share(const NakamotoNetwork& net, net::NodeId node) {
 // Eclipse
 // ---------------------------------------------------------------------------
 
-EclipseAttack::EclipseAttack(NakamotoNetwork& net, EclipseParams params)
+EclipseAttack::EclipseAttack(SimHarness& net, EclipseParams params)
     : net_(&net),
       params_(params),
       partition_("eclipse/" + std::to_string(params.victim)) {

@@ -31,6 +31,7 @@ struct Block;
 namespace dlt::consensus {
 
 class NakamotoNetwork;
+class SimHarness;
 
 /// Nakamoto's analytic probability that an attacker controlling fraction `q`
 /// of the hash power ever catches up from `z` blocks behind (Bitcoin paper,
@@ -124,17 +125,18 @@ struct EclipseParams {
     bool feed_private_fork = true;
 };
 
-/// Eclipse driver: cuts the victim from every peer except the attacker using
-/// a named partition (the attacker sits in no group, so it bridges both
-/// sides), then installs a relay filter refusing to relay transactions and
-/// blocks across the attacker↔victim edge in either direction. Fetch replies
-/// stay unfiltered — the victim can still backfill ancestors of whatever the
-/// attacker chooses to show it. heal() reverses everything and
-/// releases any withheld attacker fork; the victim then reorganizes onto the
-/// honest chain, which is what the scenario scorecard measures.
+/// Eclipse driver, for a NakamotoNetwork or a dag::DagNetwork: cuts the
+/// victim from every peer except the attacker using a named partition (the
+/// attacker sits in no group, so it bridges both sides), then installs a relay
+/// filter refusing to relay transactions and blocks across the
+/// attacker↔victim edge in either direction. Fetch replies stay unfiltered —
+/// the victim can still backfill ancestors of whatever the attacker chooses to
+/// show it. heal() reverses everything and releases any withheld attacker
+/// fork; the victim then reorganizes onto the honest chain (or re-linearizes
+/// the merged DAG), which is what the scenario scorecard measures.
 class EclipseAttack {
 public:
-    EclipseAttack(NakamotoNetwork& net, EclipseParams params);
+    EclipseAttack(SimHarness& net, EclipseParams params);
 
     EclipseAttack(const EclipseAttack&) = delete;
     EclipseAttack& operator=(const EclipseAttack&) = delete;
@@ -145,7 +147,6 @@ public:
     void heal();
 
     std::uint64_t fork_blocks() const { return fork_.size(); }
-    bool healed() const { return healed_; }
 
     /// Partition label used on the network ("eclipse/<victim>").
     const std::string& partition_name() const { return partition_; }
@@ -153,7 +154,7 @@ public:
 private:
     bool on_mined(net::NodeId node, const ledger::Block& block);
 
-    NakamotoNetwork* net_;
+    SimHarness* net_;
     EclipseParams params_;
     std::string partition_;
     std::vector<Hash256> fork_; // withheld blocks fed only to the victim

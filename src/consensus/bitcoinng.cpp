@@ -3,21 +3,12 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/serialize.hpp"
 
 namespace dlt::consensus {
 
 BitcoinNgSimulation::BitcoinNgSimulation(BitcoinNgParams params, std::uint64_t seed)
     : params_(std::move(params)), rng_(seed) {
     DLT_EXPECTS(params_.node_count >= 2);
-    network_ = std::make_unique<net::Network>(scheduler_, rng_.fork(1));
-    gossip_ = std::make_unique<net::GossipOverlay>(
-        *network_, params_.node_count, net::GossipParams{},
-        [](net::NodeId, net::NodeId, const std::string&, ByteView) {
-            // Microblock and key-block contents are tracked centrally; the
-            // gossip layer is exercised for realistic propagation cost.
-        });
-    network_->build_unstructured_overlay(params_.overlay_degree, params_.link);
 }
 
 void BitcoinNgSimulation::start() {
@@ -65,7 +56,6 @@ void BitcoinNgSimulation::on_key_block(std::uint32_t winner) {
         stats_.txs_orphaned += orphaned;
     }
     leader_ = winner;
-    gossip_->broadcast(winner, "keyblock", to_bytes("kb"));
     if (!micro_event_) schedule_microblock();
 }
 
@@ -89,8 +79,6 @@ void BitcoinNgSimulation::emit_microblock() {
                                 mempool_arrivals_.begin() +
                                     static_cast<std::ptrdiff_t>(take));
         stats_.txs_serialized += take;
-        // Microblocks gossip through the network (payload size models tx data).
-        gossip_->broadcast(*leader_, "microblock", Bytes(take * 250, 0xAB));
     }
 }
 

@@ -7,13 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "net/gossip.hpp"
-#include "net/network.hpp"
 #include "sim/scheduler.hpp"
 
 namespace dlt::consensus {
@@ -24,8 +21,6 @@ struct BitcoinNgParams {
     double microblock_interval = 0.5;  // leader's serialization cadence
     std::size_t max_txs_per_microblock = 200;
     double tx_rate = 50.0;             // offered workload, tx/sec network-wide
-    std::size_t overlay_degree = 4;
-    net::LinkParams link{};
 };
 
 struct BitcoinNgStats {
@@ -66,8 +61,6 @@ private:
     BitcoinNgParams params_;
     sim::Scheduler scheduler_;
     Rng rng_;
-    std::unique_ptr<net::Network> network_;
-    std::unique_ptr<net::GossipOverlay> gossip_;
 
     std::optional<std::uint32_t> leader_;
     std::vector<SimTime> mempool_arrivals_; // pending tx arrival times

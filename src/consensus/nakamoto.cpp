@@ -5,27 +5,19 @@
 
 #include "common/assert.hpp"
 #include "common/error.hpp"
-#include "common/serialize.hpp"
 #include "consensus/pow.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dlt::consensus {
 
-using ledger::AdmissionResult;
 using ledger::Block;
-using ledger::Transaction;
 using net::NodeId;
 using net::transport::PeerId;
 
 namespace {
 
-bool admitted(AdmissionResult verdict) {
-    return verdict == AdmissionResult::kAccepted ||
-           verdict == AdmissionResult::kRbfReplaced;
-}
-
-/// The registry's consensus and gossip counters, summed over every engine.
+/// The registry's consensus counters, summed over every engine.
 struct Counters {
     obs::MetricsRegistry& r = obs::MetricsRegistry::global();
     obs::Counter& blocks_mined =
@@ -33,10 +25,6 @@ struct Counters {
     obs::Counter& reorgs = r.counter("consensus_reorgs_total", "Reorganizations across all peers");
     obs::Counter& invalid_blocks =
         r.counter("consensus_invalid_blocks_total", "Blocks rejected during connect");
-    obs::Counter& accepts =
-        r.counter("gossip_accepts_total", "First-time deliveries across all nodes");
-    obs::Counter& dedup_hits =
-        r.counter("gossip_dedup_hits_total", "Frames discarded as already seen");
 };
 
 Counters& counters() {
@@ -44,72 +32,7 @@ Counters& counters() {
     return c;
 }
 
-/// Count one relayed frame as a first delivery or a duplicate dropped.
-void count_frame(bool duplicate) {
-    (duplicate ? counters().dedup_hits : counters().accepts).inc();
-}
-
-/// A "tx" frame: the txid, then the transaction.
-Bytes tx_frame(const Transaction& tx) {
-    Writer frame;
-    frame.fixed(tx.txid());
-    tx.encode(frame);
-    return std::move(frame).take();
-}
-
 } // namespace
-
-// --- Transaction path ------------------------------------------------------------------
-
-TxRelay::TxRelay(net::transport::Transport& transport,
-                 const ledger::MempoolConfig& config, obs::TxLifecycleTracker* lifecycle)
-    : transport_(transport), mempool_(config), lifecycle_(lifecycle) {}
-
-bool TxRelay::admit(const Transaction& tx, PeerId from) {
-    const bool ok = admitted(mempool_.admit(tx, transport_.now()));
-    if (lifecycle_ != nullptr) {
-        const PeerId self = transport_.local_id();
-        if (from != self) lifecycle_->on_first_seen(tx.txid(), self, transport_.now());
-        if (ok) lifecycle_->on_mempool_accepted(tx.txid(), self, transport_.now());
-    }
-    return ok;
-}
-
-bool TxRelay::submit(const Transaction& tx) {
-    if (seen_.contains(tx.txid()) || !admit(tx, transport_.local_id())) return false;
-    seen_.insert(tx.txid());
-    transport_.broadcast("tx", ByteView(tx_frame(tx)));
-    return true;
-}
-
-void TxRelay::send(PeerId to, const Transaction& tx) {
-    transport_.send(to, "tx", ByteView(tx_frame(tx)));
-}
-
-bool TxRelay::handle(PeerId from, ByteView frame) {
-    Reader r(frame);
-    const Hash256 claimed = r.fixed<32>();
-    if (seen_.contains(claimed)) {
-        count_frame(/*duplicate=*/true);
-        return false;
-    }
-    const Transaction tx = Transaction::decode(r);
-    r.expect_done();
-    if (tx.txid() != claimed) return false;
-    seen_.insert(claimed);
-    count_frame(/*duplicate=*/false);
-    return admit(tx, from);
-}
-
-void TxRelay::connected(const Block& block) {
-    const std::vector<Hash256> ids = block.txids();
-    seen_.insert(ids.begin(), ids.end()); // a late relay must not re-admit them
-    mempool_.remove_confirmed(ids);
-}
-
-void TxRelay::disconnected(const Block& block) {
-    mempool_.add_back(block.txs, transport_.now());
-}
 
 // --- Engine ----------------------------------------------------------------------------
 
@@ -126,11 +49,10 @@ NakamotoEngine::NakamotoEngine(net::transport::Transport& transport, NakamotoHos
       hash_share_(hash_share),
       miner_(miner),
       rng_(rng),
-      sync_interval_(sync_interval),
-      tip_(tip) {
+      tip_(tip),
+      blocks_(transport, *this, txs, rng_, sync_interval) {
     DLT_EXPECTS(index_.contains(tip_));
     DLT_EXPECTS(hash_share_ >= 0 && hash_share_ <= 1);
-    DLT_EXPECTS(sync_interval_ > 0);
 }
 
 void NakamotoEngine::start() {
@@ -140,108 +62,23 @@ void NakamotoEngine::start() {
 
 void NakamotoEngine::stop() {
     mining_ = false;
-    for (auto* timer : {&mining_timer_, &retry_timer_}) {
-        if (*timer) transport_.cancel_timer(**timer);
-        timer->reset();
-    }
+    if (mining_timer_) transport_.cancel_timer(*mining_timer_);
+    mining_timer_.reset();
+    blocks_.stop();
 }
 
-void NakamotoEngine::handle(PeerId from, const std::string& topic, ByteView payload) {
-    try {
-        if (topic == "tx") {
-            // On a random overlay a transaction reaches every peer only if
-            // each one floods what it admits.
-            if (txs_.handle(from, payload)) transport_.broadcast_except(from, "tx", payload);
-        } else if (topic == "blk" || topic == "blkreply") {
-            on_block(from, payload, topic == "blk");
-        } else if (topic == "getblk") {
-            Reader r(payload);
-            const Hash256 hash = r.fixed<32>();
-            r.expect_done();
-            if (const auto* entry = index_.find(hash))
-                transport_.send(from, "blkreply", ByteView(encode_to_bytes(entry->block)));
-        }
-    } catch (const DecodeError&) {
-        // A malformed payload from a peer is dropped, never fatal.
-    }
+const Block* NakamotoEngine::find(const Hash256& hash) const {
+    const auto* entry = index_.find(hash);
+    return entry == nullptr ? nullptr : &entry->block;
 }
 
-void NakamotoEngine::on_block(PeerId from, ByteView payload, bool relay) {
-    // A duplicate costs one header decode and hash.
-    Reader header(payload);
-    const Hash256 hash = ledger::BlockHeader::decode(header).hash();
-    if (index_.contains(hash) || orphans_.contains(hash)) {
-        count_frame(/*duplicate=*/true);
-        return;
-    }
-    Block block = decode_from_bytes<Block>(payload);
-    // The hash commits to the body only through the Merkle root, which also
-    // matches a body that repeats its last transactions (an odd level pairs
-    // its last hash with itself). Such a body is not the block the hash
-    // names, so it must not be indexed (or tainted) under it.
-    const std::vector<Hash256> ids = block.txids();
-    if (block.header.merkle_root != block.compute_merkle_root() ||
-        std::unordered_set<Hash256>(ids.begin(), ids.end()).size() != ids.size())
-        return;
-    count_frame(/*duplicate=*/false);
-    const Hash256 parent = block.header.prev_hash;
-    if (index_.contains(parent)) {
-        adopt(std::move(block));
-    } else {
-        // Fetch the oldest missing ancestor; each reply walks one hop back
-        // until the branch roots in our index.
-        Hash256 missing = parent;
-        for (auto it = orphans_.find(missing); it != orphans_.end();
-             it = orphans_.find(missing))
-            missing = it->second.header.prev_hash;
-        orphans_.emplace(hash, std::move(block));
-        request(missing, from);
-    }
-    if (relay) transport_.broadcast_except(from, "blk", payload);
+void NakamotoEngine::insert(const Block& block) {
+    if (index_.insert(block, ledger::work_from_bits(block.header.bits)) &&
+        events_.on_block_inserted)
+        events_.on_block_inserted(block, transport_.now());
 }
 
-void NakamotoEngine::adopt(Block block) {
-    std::vector<Block> pending;
-    pending.push_back(std::move(block));
-    while (!pending.empty()) {
-        const Block current = std::move(pending.back());
-        pending.pop_back();
-        const Hash256 hash = current.hash();
-        requested_.erase(hash);
-        if (index_.insert(current, ledger::work_from_bits(current.header.bits)) &&
-            events_.on_block_inserted)
-            events_.on_block_inserted(current, transport_.now());
-        std::erase_if(orphans_, [&](auto& orphan) { // now connectable
-            if (orphan.second.header.prev_hash != hash) return false;
-            pending.push_back(std::move(orphan.second));
-            return true;
-        });
-    }
-    update_tip();
-}
-
-void NakamotoEngine::request(const Hash256& hash, PeerId peer) {
-    if (!requested_.insert(hash).second) return;
-    transport_.send(peer, "getblk", hash.view());
-    if (!retry_timer_)
-        retry_timer_ = transport_.schedule_after(sync_interval_, [this] {
-            retry_timer_.reset();
-            retry_requests();
-        });
-}
-
-void NakamotoEngine::retry_requests() {
-    // Ask a random peer again for every block still missing: the request or
-    // its reply may have been lost, or the peer asked may not have it.
-    requested_.clear();
-    const auto peers = transport_.peer_ids();
-    if (peers.empty()) return;
-    for (const auto& [hash, block] : orphans_)
-        if (!orphans_.contains(block.header.prev_hash))
-            request(block.header.prev_hash, peers[rng_.index(peers.size())]);
-}
-
-void NakamotoEngine::update_tip() {
+void NakamotoEngine::settle() {
     const Hash256 before = tip_;
     for (bool failed = true; failed;) {
         const Hash256 best = params_.branch_rule == BranchRule::kGhost
@@ -366,15 +203,15 @@ void NakamotoEngine::mine() {
     }
     // The miner adopts its block (the most work it knows), then relays it.
     const bool release = host_.release(block);
-    adopt(block);
-    if (release) transport_.broadcast("blk", ByteView(encode_to_bytes(block)));
+    blocks_.adopt(block);
+    if (release) blocks_.publish(block);
     if (!mining_timer_) schedule_mining();
 }
 
 void NakamotoEngine::publish(const Hash256& hash) {
-    const auto* entry = index_.find(hash);
-    DLT_EXPECTS(entry != nullptr);
-    transport_.broadcast("blk", ByteView(encode_to_bytes(entry->block)));
+    const Block* block = find(hash);
+    DLT_EXPECTS(block != nullptr);
+    blocks_.publish(*block);
 }
 
 // --- Simulated network -----------------------------------------------------------------
@@ -384,15 +221,11 @@ class NakamotoNetwork::Peer final : public NakamotoHost {
 public:
     Peer(NakamotoNetwork& net, NodeId id, double hash_share)
         : chain(net.genesis_),
-          txs(net.hub_->endpoint(id), net.params_.mempool, &net.lifecycle_),
-          miner(crypto::PrivateKey::from_seed(net.params_.chain_tag + "/miner/" +
-                                              std::to_string(id))
-                    .address()),
-          engine(net.hub_->endpoint(id), *this, chain, chain.genesis_hash(), txs,
-                 net.params_, hash_share, miner, net.rng_.fork(0x100 + id)),
+          engine(net.endpoint(id), *this, chain, chain.genesis_hash(), net.txs(id),
+                 net.params_, hash_share, net.miner_address(id), net.rng_.fork(0x100 + id)),
           net_(net),
           id_(id) {
-        net.hub_->endpoint(id).set_handler(
+        net.endpoint(id).set_handler(
             [this](PeerId from, const std::string& topic, ByteView payload) {
                 engine.handle(from, topic, payload);
             });
@@ -406,9 +239,7 @@ public:
         state.undo_block(undo.at(block.hash()));
         undo.erase(block.hash());
     }
-    bool release(const Block& block) override {
-        return !net_.mined_hook_ || net_.mined_hook_(id_, block);
-    }
+    bool release(const Block& block) override { return net_.release(id_, block); }
     void on_reorg(const std::vector<Hash256>& disconnected,
                   const std::vector<Hash256>& connected) override {
         if (id_ == 0) net_.observe_reorg(disconnected, connected);
@@ -417,8 +248,6 @@ public:
     ledger::ChainStore chain;
     ledger::UtxoSet state; // at the engine's tip
     std::unordered_map<Hash256, ledger::UtxoUndo> undo; // connected blocks
-    TxRelay txs;
-    crypto::Address miner;
     NakamotoEngine engine;
 
 private:
@@ -427,21 +256,11 @@ private:
 };
 
 NakamotoNetwork::NakamotoNetwork(NakamotoParams params, std::uint64_t seed)
-    : params_(std::move(params)),
-      rng_(seed),
-      lifecycle_(params_.finality_depth, &obs::Tracer::global()) {
-    DLT_EXPECTS(params_.node_count >= 2);
+    : SimHarness(seed, params.node_count, params.overlay_degree, params.link,
+                 params.mempool, params.finality_depth, params.chain_tag),
+      params_(std::move(params)),
+      genesis_(ledger::make_genesis(params_.chain_tag, ledger::easy_bits(1))) {
     DLT_EXPECTS(params_.block_interval > 0);
-
-    genesis_ = ledger::make_genesis(params_.chain_tag, ledger::easy_bits(1));
-    network_ = std::make_unique<net::Network>(scheduler_, rng_.fork(0xA));
-    hub_ = std::make_unique<net::transport::SimTransportHub>(*network_,
-                                                             params_.node_count);
-    network_->build_unstructured_overlay(params_.overlay_degree, params_.link);
-    hub_->set_send_filter([this](PeerId from, PeerId to, const std::string& topic) {
-        return !relay_filter_ || (topic != "tx" && topic != "blk") ||
-               relay_filter_(from, to, topic);
-    });
 
     // Normalize hash power.
     std::vector<double> shares = params_.hashrate_shares;
@@ -452,15 +271,6 @@ NakamotoNetwork::NakamotoNetwork(NakamotoParams params, std::uint64_t seed)
     DLT_EXPECTS(total > 0);
     for (NodeId i = 0; i < params_.node_count; ++i)
         peers_.push_back(std::make_unique<Peer>(*this, i, shares[i] / total));
-
-    // Peer 0 is the observed replica: its mempool drops become explicit
-    // lifecycle terminal events (reasons share the enumeration order).
-    peers_[0]->txs.mempool().set_drop_observer(
-        [this](const Hash256& txid, ledger::MempoolDropReason reason, SimTime at) {
-            lifecycle_.on_dropped(
-                txid, 0, at,
-                static_cast<obs::TxDropReason>(static_cast<std::uint8_t>(reason)));
-        });
 }
 
 NakamotoNetwork::~NakamotoNetwork() = default;
@@ -469,28 +279,19 @@ void NakamotoNetwork::start() {
     for (auto& peer : peers_) peer->engine.start();
 }
 
-void NakamotoNetwork::run_for(SimDuration duration) {
-    scheduler_.run_until(scheduler_.now() + duration);
-}
-
-void NakamotoNetwork::submit_transaction(const Transaction& tx, NodeId origin) {
-    lifecycle_.on_submitted(tx.txid(), scheduler_.now(), origin);
-    peers_.at(origin)->txs.submit(tx);
-}
-
 void NakamotoNetwork::observe_reorg(const std::vector<Hash256>& disconnected,
                                     const std::vector<Hash256>& connected) {
     const ledger::ChainStore& chain = peers_[0]->chain;
     const SimTime at = scheduler_.now();
     for (const auto& hash : disconnected) {
         const auto* entry = chain.find(hash);
-        lifecycle_.on_block_disconnected(entry->height, entry->block.txids());
+        lifecycle().on_block_disconnected(entry->height, entry->block.txids());
     }
     for (const auto& hash : connected) {
         const auto* entry = chain.find(hash);
-        lifecycle_.on_block_connected(entry->height, entry->block.txids(), at);
+        lifecycle().on_block_connected(entry->height, entry->block.txids(), at);
     }
-    lifecycle_.on_tip_height(height_of(0), at);
+    lifecycle().on_tip_height(height_of(0), at);
     auto& tracer = obs::Tracer::global();
     if (tracer.enabled() && !disconnected.empty()) {
         tracer.instant("chain.reorg", "consensus", at, 0,
@@ -503,10 +304,6 @@ void NakamotoNetwork::observe_reorg(const std::vector<Hash256>& disconnected,
 
 void NakamotoNetwork::publish_block(NodeId node, const Hash256& hash) {
     peers_.at(node)->engine.publish(hash);
-}
-
-void NakamotoNetwork::push_block(NodeId from, NodeId to, const Block& block) {
-    hub_->endpoint(from).send(to, "blkreply", ByteView(encode_to_bytes(block)));
 }
 
 void NakamotoNetwork::set_network_hashrate(double multiplier) {
@@ -600,22 +397,18 @@ const NakamotoStats& NakamotoNetwork::stats() const {
     return stats_;
 }
 
+std::size_t NakamotoNetwork::orphan_count(NodeId node) const {
+    return peers_.at(node)->engine.orphan_count();
+}
+
 ChainEvents& NakamotoNetwork::events(NodeId node) { return peers_.at(node)->engine.events(); }
 
 const ledger::ChainStore& NakamotoNetwork::chain_of(NodeId node) const {
     return peers_.at(node)->chain;
 }
 
-const ledger::Mempool& NakamotoNetwork::mempool_of(NodeId node) const {
-    return peers_.at(node)->txs.mempool();
-}
-
 const ledger::UtxoSet& NakamotoNetwork::utxo_of(NodeId node) const {
     return peers_.at(node)->state;
-}
-
-const crypto::Address& NakamotoNetwork::miner_address(NodeId node) const {
-    return peers_.at(node)->miner;
 }
 
 } // namespace dlt::consensus

@@ -159,7 +159,9 @@ void Replica::on_message(PeerId from, const std::string& topic, ByteView payload
     } else if (!running_) {
         return;
     } else if (topic == "tx") {
-        if (txs_.handle(from, payload)) pbft_->work_arrived();
+        if (!txs_.handle(from, payload)) return;
+        held_by(Reader(payload).fixed<32>(), from);
+        pbft_->work_arrived();
     } else if (topic == "seq") {
         // Catch-up: the next block from peers' canonical chains, connected once
         // f+1 of them return it, so at least one correct replica committed it.
@@ -204,6 +206,8 @@ bool Replica::accepts(std::uint64_t seq, const std::vector<Bytes>& batch) {
     if (batch.size() != 1 || seq != node_.height() + 1) return false;
     try {
         const Block block = decode_from_bytes<Block>(ByteView(batch[0]));
+        for (const Hash256& txid : block.txids())
+            held_by(txid, pbft_->view() % config_.node_count);
         check_on_tip(block);
         return block.header.height == seq;
     } catch (const Error&) {
@@ -246,12 +250,15 @@ void Replica::repair_primary() {
     // then lands within block_interval + 2 * sync_interval of admission,
     // inside the view-change timeout.
     const double cutoff = transport_.now() - config_.block_interval - config_.sync_interval;
-    for (const Transaction* tx : pool.admitted_before(cutoff)) {
-        std::vector<PeerId>& sent_to = repaired_[tx->txid()];
-        if (std::find(sent_to.begin(), sent_to.end(), primary) != sent_to.end()) continue;
-        sent_to.push_back(primary);
-        txs_.send(primary, *tx);
-    }
+    for (const Transaction* tx : pool.admitted_before(cutoff))
+        if (held_by(tx->txid(), primary)) txs_.send(primary, *tx);
+}
+
+bool Replica::held_by(const Hash256& txid, PeerId peer) {
+    std::vector<PeerId>& holders = repaired_[txid];
+    if (std::find(holders.begin(), holders.end(), peer) != holders.end()) return false;
+    holders.push_back(peer);
+    return true;
 }
 
 } // namespace dlt::core

@@ -29,7 +29,8 @@
 // promptly and its pre-prepare carries the block to the backups. To cover a
 // copy lost on the way to the primary, each PBFT sync tick a backup sends the
 // view's primary every pooled transaction that has waited longer than
-// block_interval + sync_interval, at most once per transaction and primary.
+// block_interval + sync_interval, unless that primary is known to hold it: it
+// sent the transaction, pre-prepared a block carrying it, or was sent it.
 //
 // Durability comes from core::PersistentNode: every connect/disconnect is
 // WAL-journaled under ReplicaConfig::data_dir, so a SIGKILLed replica reopens
@@ -145,8 +146,10 @@ private:
     bool connect_committed(const ledger::Block& block);
     void pbft_sync_probe();
     /// Backup only: send the view's primary each pooled transaction it seems
-    /// to have missed, at most once per transaction and primary.
+    /// to have missed, unless the primary is known to hold it.
     void repair_primary();
+    /// Record that `peer` holds `txid`; false when that was known.
+    bool held_by(const Hash256& txid, net::transport::PeerId peer);
 
     net::transport::Transport& transport_;
     ReplicaConfig config_;
@@ -161,7 +164,9 @@ private:
     std::unique_ptr<consensus::PbftEngine> pbft_;         // kPbft only
     /// Catch-up: the block hash each peer returned for height()+1.
     std::unordered_map<net::transport::PeerId, Hash256> seq_claims_;
-    /// Repair: the primaries each pooled transaction was sent to.
+    /// Repair: the peers known to hold each pooled transaction (the peer it
+    /// arrived from, the primary whose pre-prepared block carried it, and the
+    /// primaries it was repaired to).
     std::unordered_map<Hash256, std::vector<net::transport::PeerId>> repaired_;
 
     std::optional<net::transport::TimerId> sync_timer_;

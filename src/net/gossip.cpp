@@ -48,7 +48,6 @@ GossipOverlay::GossipOverlay(Network& network, std::size_t node_count,
 Hash256 GossipOverlay::broadcast(NodeId origin, const std::string& topic,
                                  const Bytes& payload) {
     DLT_EXPECTS(origin < seen_.size());
-    DLT_EXPECTS(!is_direct_topic(topic));
     // Unique id: hash over topic, payload, origin, and injection time.
     Writer w;
     w.str(topic);
@@ -63,21 +62,7 @@ Hash256 GossipOverlay::broadcast(NodeId origin, const std::string& topic,
     return id;
 }
 
-void GossipOverlay::send_direct(NodeId from, NodeId to, const std::string& topic,
-                                const Bytes& payload) {
-    DLT_EXPECTS(from < seen_.size() && to < seen_.size());
-    DLT_EXPECTS(is_direct_topic(topic));
-    // The link may have churned away since the triggering message was sent;
-    // a real peer's reply would hit a closed socket, so drop silently.
-    if (!network_->connected(from, to)) return;
-    network_->send(from, to, topic, payload);
-}
-
 void GossipOverlay::on_delivery(NodeId at, const Delivery& d) {
-    if (is_direct_topic(d.topic)) { // point-to-point: no dedup, no relay
-        handler_(at, d.from, d.topic, ByteView{d.payload()});
-        return;
-    }
     if (d.payload().size() < 32) return; // malformed frame
     const Hash256 id = Hash256::from_bytes(ByteView{d.payload().data(), 32});
     if (seen_[at].contains(id)) {
@@ -103,31 +88,17 @@ void GossipOverlay::accept(NodeId at, NodeId from, const Hash256& id,
 
 void GossipOverlay::relay(NodeId at, NodeId skip, const std::string& topic,
                           const std::shared_ptr<const Bytes>& framed) {
-    const auto& peers = network_->neighbors(at);
-    if (peers.empty()) return;
-    const auto allowed = [&](NodeId p) {
-        return p != skip && (!relay_filter_ || relay_filter_(at, p, topic));
-    };
-    if (params_.fanout == 0 || params_.fanout >= peers.size()) {
-        // Flood every neighbor except the one the frame arrived from: echoing
-        // it back is pure waste (the sender has it by construction).
-        for (const NodeId p : peers)
-            if (allowed(p)) network_->send(at, p, topic, framed);
-        return;
+    // Every neighbor except the one the frame arrived from (echoing it back is
+    // pure waste: the sender has it by construction), or `fanout` of them
+    // sampled at random.
+    std::vector<NodeId> targets;
+    for (const NodeId p : network_->neighbors(at))
+        if (p != skip) targets.push_back(p);
+    if (params_.fanout != 0 && params_.fanout < targets.size()) {
+        network_->rng().shuffle(targets);
+        targets.resize(params_.fanout);
     }
-    // Sample `fanout` distinct neighbors, never wasting a slot on the sender.
-    std::vector<NodeId> candidates;
-    candidates.reserve(peers.size());
-    for (const NodeId p : peers)
-        if (allowed(p)) candidates.push_back(p);
-    if (candidates.empty()) return;
-    if (params_.fanout >= candidates.size()) {
-        for (const NodeId p : candidates) network_->send(at, p, topic, framed);
-        return;
-    }
-    network_->rng().shuffle(candidates);
-    for (std::size_t i = 0; i < params_.fanout; ++i)
-        network_->send(at, candidates[i], topic, framed);
+    for (const NodeId p : targets) network_->send(at, p, topic, framed);
 }
 
 const PropagationRecord* GossipOverlay::record(const Hash256& id) const {

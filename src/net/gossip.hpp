@@ -1,8 +1,9 @@
 // Gossip broadcast (paper §2.3): peers relay new data to a random subset of
 // neighbors over multiple rounds, deduplicating by message id, until the whole
-// overlay has seen it. This is the dissemination primitive blocks and
-// transactions ride on; E18 measures its propagation behaviour. Relays never
-// echo a frame back to the peer it arrived from.
+// overlay has seen it. E18 measures its propagation behaviour with it; the
+// consensus engines relay over net::transport::Transport instead
+// (consensus/relay.hpp). Relays never echo a frame back to the peer it
+// arrived from.
 #pragma once
 
 #include <functional>
@@ -37,10 +38,9 @@ struct PropagationRecord {
 class GossipOverlay {
 public:
     /// Handler(node, from, topic, payload) fires on first delivery of a gossip
-    /// message at each node and on every direct message. `from` is the peer
-    /// the message arrived from (== node for locally injected broadcasts). The
-    /// payload view aliases the shared message frame — copy it if it must
-    /// outlive the callback.
+    /// message at each node. `from` is the peer the message arrived from
+    /// (== node for locally injected broadcasts). The payload view aliases the
+    /// shared message frame — copy it if it must outlive the callback.
     using Handler =
         std::function<void(NodeId, NodeId, const std::string&, ByteView)>;
 
@@ -52,29 +52,8 @@ public:
     std::size_t node_count() const { return seen_.size(); }
 
     /// Inject a message at `origin`; it is delivered locally and relayed.
-    /// Returns the message id used for tracking. The topic must not carry the
-    /// "d/" direct-message prefix.
+    /// Returns the message id used for tracking.
     Hash256 broadcast(NodeId origin, const std::string& topic, const Bytes& payload);
-
-    /// Point-to-point message outside the gossip flow: no message id, no
-    /// dedup, no relaying. Delivered to the handler with the topic as given;
-    /// direct topics must start with "d/" to stay distinguishable from gossip
-    /// frames. Silently dropped when the two nodes are not currently linked
-    /// (the peer may have churned away). Sync protocols (orphan-parent fetch)
-    /// ride on this.
-    void send_direct(NodeId from, NodeId to, const std::string& topic,
-                     const Bytes& payload);
-
-    /// Relay filter: invoked per (relaying node, candidate neighbor, topic)
-    /// before a gossip frame is forwarded; returning false suppresses that
-    /// hop. Models adversarial routing (an eclipse attacker refusing to
-    /// bridge traffic to its victim) without touching link state — direct
-    /// "d/" messages are never filtered, so sync protocols still work.
-    /// Pass nullptr to clear. Filtered hops count as never sent (no traffic,
-    /// no delivery).
-    using RelayFilter =
-        std::function<bool(NodeId at, NodeId to, const std::string& topic)>;
-    void set_relay_filter(RelayFilter filter) { relay_filter_ = std::move(filter); }
 
     /// Propagation telemetry for a message id (empty when unknown).
     const PropagationRecord* record(const Hash256& id) const;
@@ -87,10 +66,6 @@ public:
     std::optional<SimTime> time_to_quantile(const Hash256& id, double quantile) const;
 
 private:
-    static bool is_direct_topic(const std::string& topic) {
-        return topic.size() >= 2 && topic[0] == 'd' && topic[1] == '/';
-    }
-
     void on_delivery(NodeId at, const Delivery& d);
     void relay(NodeId at, NodeId skip, const std::string& topic,
                const std::shared_ptr<const Bytes>& framed);
@@ -100,7 +75,6 @@ private:
     Network* network_;
     GossipParams params_;
     Handler handler_;
-    RelayFilter relay_filter_;
     obs::Counter* broadcasts_ = nullptr;  // gossip_broadcasts_total
     obs::Counter* accepts_ = nullptr;     // gossip_accepts_total
     obs::Counter* dedup_hits_ = nullptr;  // gossip_dedup_hits_total

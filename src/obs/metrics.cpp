@@ -127,85 +127,74 @@ MetricsRegistry& MetricsRegistry::global() {
     return registry;
 }
 
-MetricsRegistry::Entry& MetricsRegistry::get_or_create(const std::string& name,
-                                                       const std::string& help,
-                                                       int kind) {
+MetricsRegistry::Entry& MetricsRegistry::get_or_create(
+    const std::string& name, const std::string& help, int kind,
+    const std::function<void(Entry&)>& make) {
+    const auto checked = [&](Entry& entry) -> Entry& {
+        if (entry.kind != kind)
+            throw std::logic_error("metric '" + name + "' already registered as " +
+                                   kind_name(entry.kind));
+        return entry;
+    };
     {
         std::shared_lock lock(m_);
-        if (const auto it = entries_.find(name); it != entries_.end()) {
-            if (it->second->kind != kind)
-                throw std::logic_error("metric '" + name + "' already registered as " +
-                                       kind_name(it->second->kind));
-            return *it->second;
-        }
+        if (const auto it = entries_.find(name); it != entries_.end())
+            return checked(*it->second);
     }
+    // The entry and its metric appear in one locked step, so an exporter
+    // never meets an entry without its metric.
     std::unique_lock lock(m_);
-    auto& slot = entries_[name];
-    if (slot == nullptr) {
-        slot = std::make_unique<Entry>();
-        slot->kind = kind;
-        slot->help = help;
-    } else if (slot->kind != kind) {
-        throw std::logic_error("metric '" + name + "' already registered as " +
-                               kind_name(slot->kind));
-    }
-    return *slot;
+    if (const auto it = entries_.find(name); it != entries_.end()) return checked(*it->second);
+    auto entry = std::make_unique<Entry>();
+    entry->kind = kind;
+    entry->help = help;
+    make(*entry);
+    return *entries_.emplace(name, std::move(entry)).first->second;
 }
 
 Counter& MetricsRegistry::counter(const std::string& name, const std::string& help) {
-    Entry& e = get_or_create(name, help, kCounter);
-    std::unique_lock lock(m_);
-    if (e.counter == nullptr) e.counter = std::make_unique<Counter>();
-    return *e.counter;
+    return *get_or_create(name, help, kCounter, [](Entry& e) {
+        e.counter = std::make_unique<Counter>();
+    }).counter;
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& help) {
-    Entry& e = get_or_create(name, help, kGauge);
-    std::unique_lock lock(m_);
-    if (e.gauge == nullptr) e.gauge = std::make_unique<Gauge>();
-    return *e.gauge;
+    return *get_or_create(name, help, kGauge, [](Entry& e) {
+        e.gauge = std::make_unique<Gauge>();
+    }).gauge;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const std::string& help,
                                       HistogramOptions options) {
-    Entry& e = get_or_create(name, help, kHistogram);
-    std::unique_lock lock(m_);
-    if (e.histogram == nullptr) e.histogram = std::make_unique<Histogram>(options);
-    return *e.histogram;
+    return *get_or_create(name, help, kHistogram, [&](Entry& e) {
+        e.histogram = std::make_unique<Histogram>(options);
+    }).histogram;
 }
 
 CounterFamily& MetricsRegistry::counter_family(const std::string& name,
                                                const std::string& help,
                                                std::vector<std::string> label_names) {
-    Entry& e = get_or_create(name, help, kCounterFamily);
-    std::unique_lock lock(m_);
-    if (e.counter_family == nullptr)
-        e.counter_family =
-            std::make_unique<CounterFamily>(name, help, std::move(label_names));
-    return *e.counter_family;
+    return *get_or_create(name, help, kCounterFamily, [&](Entry& e) {
+        e.counter_family = std::make_unique<CounterFamily>(name, help, std::move(label_names));
+    }).counter_family;
 }
 
 GaugeFamily& MetricsRegistry::gauge_family(const std::string& name,
                                            const std::string& help,
                                            std::vector<std::string> label_names) {
-    Entry& e = get_or_create(name, help, kGaugeFamily);
-    std::unique_lock lock(m_);
-    if (e.gauge_family == nullptr)
-        e.gauge_family =
-            std::make_unique<GaugeFamily>(name, help, std::move(label_names));
-    return *e.gauge_family;
+    return *get_or_create(name, help, kGaugeFamily, [&](Entry& e) {
+        e.gauge_family = std::make_unique<GaugeFamily>(name, help, std::move(label_names));
+    }).gauge_family;
 }
 
 HistogramFamily& MetricsRegistry::histogram_family(
     const std::string& name, const std::string& help,
     std::vector<std::string> label_names, HistogramOptions options) {
-    Entry& e = get_or_create(name, help, kHistogramFamily);
-    std::unique_lock lock(m_);
-    if (e.histogram_family == nullptr)
+    return *get_or_create(name, help, kHistogramFamily, [&](Entry& e) {
         e.histogram_family = std::make_unique<HistogramFamily>(
             name, help, std::move(label_names), options);
-    return *e.histogram_family;
+    }).histogram_family;
 }
 
 // --- Exporters -----------------------------------------------------------------

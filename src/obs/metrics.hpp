@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -231,7 +232,9 @@ public:
 
 private:
     struct Entry; // one named metric or family, tagged by kind
-    Entry& get_or_create(const std::string& name, const std::string& help, int kind);
+    /// The entry named `name`; a new one gets its metric from `make`.
+    Entry& get_or_create(const std::string& name, const std::string& help, int kind,
+                         const std::function<void(Entry&)>& make);
 
     mutable std::shared_mutex m_;
     std::map<std::string, std::unique_ptr<Entry>> entries_;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -401,7 +402,6 @@ TEST(DagNetwork, LostParentFetchRetriesUntilResolved) {
     // retry rotation the d/notfound answer would strand the fetch forever
     // (nothing ever re-broadcasts the ancestors).
     DagParams params = fast_params();
-    params.sync_retry_interval = 5.0;
     DagNetwork net(params, 2608);
     net.start();
 
@@ -432,7 +432,6 @@ TEST(DagNetwork, ReconvergesAfterPartitionAndCrash) {
     // fetches at the cut/crash instants are lost on the dead links; the retry
     // path must still drain every orphan once the topology heals.
     DagParams params = fast_params();
-    params.sync_retry_interval = 5.0;
     DagNetwork net(params, 2609);
     net::FaultPlan plan;
     plan.cut(60.0, "dagtest/split", {{0, 1}, {2, 3, 4, 5}});
@@ -447,6 +446,68 @@ TEST(DagNetwork, ReconvergesAfterPartitionAndCrash) {
     const Hash256 digest = net.order_digest(0);
     for (net::NodeId node = 1; node < 6; ++node)
         EXPECT_EQ(net.order_digest(node), digest);
+}
+
+/// Withhold the first 9-transaction record node 0 produces (an odd count, so
+/// repeating its last transaction keeps the Merkle root), feeding node 0 one
+/// transaction per second until it makes one, and return it.
+ledger::Block withhold_nine_tx_record(DagNetwork& net) {
+    std::optional<ledger::Block> held;
+    net.set_produced_record_hook([&](net::NodeId node, const ledger::Block& record) {
+        if (node != 0 || held || record.txs.size() != 9) return true;
+        held = record;
+        return false;
+    });
+    for (std::uint64_t i = 0; !held; ++i) {
+        net.submit_transaction(record_tx("erin", i), 0);
+        net.run_for(1.0);
+    }
+    net.set_produced_record_hook(nullptr);
+    return *held;
+}
+
+TEST(DagNetwork, ForgedBodyDoesNotTaintTheRecordItClaims) {
+    // A neighbour of the producer first receives the withheld record's header
+    // with one transaction appended to its body. That body fails the Merkle
+    // root, so it is not the record the hash names: it must be dropped
+    // without marking the hash invalid, and the genuine record adopted once
+    // it is published.
+    DagNetwork net(fast_params(), 2611);
+    net.start();
+    const ledger::Block record = withhold_nine_tx_record(net);
+    const net::NodeId victim = net.network().neighbors(0).front();
+    ledger::Block forged = record;
+    forged.txs.push_back(record_tx("mallory", 1));
+    net.push_block(0, victim, forged);
+    net.run_for(1.0);
+    net.publish_record(0, record.hash());
+    net.run_for(600.0);
+
+    EXPECT_TRUE(net.converged());
+    for (net::NodeId node = 0; node < 6; ++node)
+        EXPECT_NE(net.store_of(node).find(record.hash()), nullptr) << "node " << node;
+}
+
+TEST(DagNetwork, BodyRepeatingItsLastTransactionIsNotStored) {
+    // Repeating the last of an odd number of transactions keeps the Merkle
+    // root (an odd level pairs its last hash with itself), so the forged body
+    // matches the header; it still is not the record the hash names.
+    DagNetwork net(fast_params(), 2611);
+    net.start();
+    const ledger::Block record = withhold_nine_tx_record(net);
+    const net::NodeId victim = net.network().neighbors(0).front();
+    ledger::Block forged = record;
+    forged.txs.push_back(forged.txs.back());
+    ASSERT_EQ(forged.compute_merkle_root(), record.header.merkle_root);
+    net.push_block(0, victim, forged);
+    net.run_for(1.0);
+    net.publish_record(0, record.hash());
+    net.run_for(300.0);
+
+    const DagStore::Entry* stored = net.store_of(victim).find(record.hash());
+    ASSERT_NE(stored, nullptr);
+    EXPECT_EQ(stored->block.txs.size(), 9u);
+    EXPECT_TRUE(net.converged());
 }
 
 TEST(DagNetwork, LifecycleReachesWeightFinality) {

@@ -249,6 +249,40 @@ TEST(Nakamoto, RecoversFromLostFetchesUnderLoss) {
     }
 }
 
+TEST(BlockRelay, OrphanFloodStopsAtTheCapAndAnHonestBranchStillConnects) {
+    // Peer 2 floods peer 0 with ten times the cap of well-formed blocks whose
+    // parents nobody has: the pool stays at the cap. Peer 1 then hands peer 0
+    // only the tip of a branch it mined in private. The tip is parked (the
+    // oldest flood block makes room), its ancestors are fetched from peer 1,
+    // and the branch connects.
+    NakamotoParams params = fast_params();
+    params.node_count = 3;
+    params.hashrate_shares = {0, 1, 0};
+    NakamotoNetwork net(params, 31);
+    std::vector<Hash256> branch;
+    net.set_mined_block_hook([&branch](net::NodeId, const Block& block) {
+        branch.push_back(block.hash());
+        return false;
+    });
+    net.start();
+    for (std::size_t i = 0; i < 10 * BlockRelay::kMaxOrphans; ++i) {
+        Block orphan;
+        orphan.header.prev_hash = crypto::sha256(to_bytes("missing/" + std::to_string(i)));
+        orphan.header.height = 1;
+        orphan.header.merkle_root = orphan.compute_merkle_root();
+        net.push_block(2, 0, orphan);
+    }
+    net.run_for(1.0);
+    EXPECT_EQ(net.orphan_count(0), BlockRelay::kMaxOrphans);
+
+    while (branch.size() < 3) net.run_for(30.0);
+    const Hash256 tip = branch.back();
+    net.push_block(1, 0, net.chain_of(1).find(tip)->block);
+    net.run_for(5.0);
+    EXPECT_EQ(net.tip_of(0), tip);
+    EXPECT_LE(net.orphan_count(0), BlockRelay::kMaxOrphans);
+}
+
 TEST(TxRelay, DropsALateRelayOfAConfirmedTransaction) {
     // A record carries no UTXO conflict, so only the seen-set stops a relay
     // that arrives after its block from putting it back in the pool.

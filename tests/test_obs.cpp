@@ -6,6 +6,7 @@
 // outcomes with observability on or off).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -313,6 +314,35 @@ TEST(ObsRegistry, ExportsAreDeterministicAndWellFormed) {
     // Two snapshots of unchanged state are byte-identical.
     EXPECT_EQ(json, reg.json_snapshot());
     EXPECT_EQ(text, reg.prometheus_text());
+}
+
+TEST(ObsRegistry, ExportersNeverMeetAnEntryWithoutItsMetric) {
+    // Two threads register fresh names while a third runs the three
+    // exporters: a name must never be visible to one before its metric exists.
+    for (int round = 0; round < 40; ++round) {
+        MetricsRegistry reg;
+        std::atomic<int> writers_done{0};
+        const auto writer = [&](const std::string& prefix) {
+            for (int i = 0; i < 300; ++i) {
+                const std::string name = prefix + std::to_string(i);
+                if (i % 2 == 0)
+                    reg.counter(name + "_total").inc();
+                else
+                    reg.histogram(name + "_seconds").record(0.5);
+            }
+            ++writers_done;
+        };
+        std::thread a(writer, "a"), b(writer, "b");
+        while (writers_done < 2) {
+            EXPECT_TRUE(json_structure_ok(reg.json_snapshot()));
+            reg.prometheus_text();
+            reg.reset();
+            std::this_thread::yield(); // let the writers take the lock
+        }
+        a.join();
+        b.join();
+        EXPECT_NE(reg.prometheus_text().find("b299_seconds_count"), std::string::npos);
+    }
 }
 
 // --- JSON writer -------------------------------------------------------------

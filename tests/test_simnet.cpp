@@ -651,45 +651,6 @@ TEST(Gossip, HandlerReportsTheRelayingPeer) {
     EXPECT_EQ(h.arrivals[2], (std::pair<NodeId, NodeId>{2, 1}));
 }
 
-TEST(Gossip, DirectMessagesBypassDedupAndRelay) {
-    std::vector<std::pair<NodeId, std::string>> direct;
-    Scheduler sched;
-    Network net(sched, Rng(77));
-    GossipOverlay overlay(net, 3, GossipParams{},
-                          [&](NodeId node, NodeId from, const std::string& topic,
-                              ByteView payload) {
-                              if (topic.starts_with("d/"))
-                                  direct.emplace_back(node,
-                                                      topic + ":" +
-                                                          std::to_string(from) + ":" +
-                                                          std::string(payload.begin(),
-                                                                      payload.end()));
-                          });
-    net.build_full_mesh();
-    overlay.send_direct(0, 2, "d/ping", to_bytes("hi"));
-    overlay.send_direct(0, 2, "d/ping", to_bytes("hi")); // identical: both arrive
-    sched.run();
-    ASSERT_EQ(direct.size(), 2u); // no dedup for direct messages
-    EXPECT_EQ(direct[0].first, 2u);
-    EXPECT_EQ(direct[0].second, "d/ping:0:hi");
-    // Node 1 saw nothing: direct messages are not relayed.
-    for (const auto& [node, what] : direct) EXPECT_NE(node, 1u);
-}
-
-TEST(Gossip, DirectSendToUnlinkedPeerIsDroppedSilently) {
-    Scheduler sched;
-    Network net(sched, Rng(78));
-    int calls = 0;
-    GossipOverlay overlay(net, 3, GossipParams{},
-                          [&](NodeId, NodeId, const std::string&, ByteView) {
-                              ++calls;
-                          });
-    net.connect(0, 1);
-    overlay.send_direct(0, 2, "d/ping", to_bytes("hi")); // no link: dropped
-    sched.run();
-    EXPECT_EQ(calls, 0);
-}
-
 TEST(Gossip, DepartedNodeMissesBroadcastsUntilRejoin) {
     GossipHarness h(5, GossipParams{});
     h.net.build_full_mesh();

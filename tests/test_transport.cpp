@@ -1117,6 +1117,9 @@ TEST(ReplicaPbft, BackupsRepairEachTransactionOncePerPrimary) {
     EXPECT_EQ((tx_frames[{1, 0}]), 2);
     EXPECT_EQ((tx_frames[{2, 0}]), 1);
     EXPECT_EQ((tx_frames[{3, 0}]), 1);
+    // Replica 1, the view-1 primary, is known to hold it: it sent it.
+    EXPECT_EQ((tx_frames[{2, 1}]), 0);
+    EXPECT_EQ((tx_frames[{3, 1}]), 0);
     const std::pair<PeerId, PeerId> origin_to_primary{1, 0};
     for (const auto& [link, frames] : tx_frames)
         EXPECT_LE(frames, link == origin_to_primary ? 2 : 1)
