@@ -1,12 +1,12 @@
 // E14 — §5.4 (bootstrap): joining peers should not need the full chain.
 // Compares full initial block download vs checkpoint sync (headers + UTXO
 // snapshot + recent blocks) across chain lengths.
-#include <filesystem>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "consensus/nakamoto.hpp"
 #include "scaling/bootstrap.hpp"
+#include "storage/file.hpp"
 #include "storage/snapshot.hpp"
 
 using namespace dlt;
@@ -60,10 +60,8 @@ int main() {
         // Persistency integration (E21): round-trip the checkpoint through an
         // on-disk snapshot; serving it from disk must cost exactly the same.
         {
-            const auto snap_dir = std::filesystem::temp_directory_path() /
-                                  ("dlt-bench-e14-" + std::to_string(target_blocks));
-            std::filesystem::remove_all(snap_dir);
-            storage::SnapshotManager snapshots(snap_dir);
+            const storage::TempDir snap_dir("bench-e14-" + std::to_string(target_blocks));
+            storage::SnapshotManager snapshots(snap_dir.path);
             storage::Snapshot snap;
             snap.height = cp.height;
             snap.block_hash = cp.block_hash;
@@ -77,7 +75,6 @@ int main() {
                 disk_cost.headers_processed != fast.headers_processed)
                 std::printf("!! disk-snapshot checkpoint cost diverges at %d blocks\n",
                             target_blocks);
-            std::filesystem::remove_all(snap_dir);
         }
 
         table.row({bench::fmt_int(path.size()),

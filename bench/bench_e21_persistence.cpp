@@ -5,7 +5,6 @@
 // 2: the block file, then the node WAL), (2) reopen/recovery time — full WAL
 // replay vs snapshot + short replay, and (3) cold vs warm reads through the
 // BlockStore's LRU decoded-block cache.
-#include <filesystem>
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
@@ -14,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "scaling/bootstrap.hpp"
 #include "storage/blockstore.hpp"
+#include "storage/file.hpp"
 
 using namespace dlt;
 using namespace dlt::ledger;
@@ -59,18 +59,7 @@ std::uint64_t chain_bytes(const std::vector<Block>& blocks) {
     return total;
 }
 
-struct TempDir {
-    std::filesystem::path path;
-    explicit TempDir(const std::string& tag) {
-        path = std::filesystem::temp_directory_path() / ("dlt-bench-e21-" + tag);
-        std::filesystem::remove_all(path);
-        std::filesystem::create_directories(path);
-    }
-    ~TempDir() {
-        std::error_code ec;
-        std::filesystem::remove_all(path, ec);
-    }
-};
+using storage::TempDir;
 
 } // namespace
 
@@ -94,7 +83,7 @@ int main() {
         "storage_fsyncs_total", "fsync calls on storage files and directories");
     double replay_dir_seconds = 0;
     {
-        TempDir dir("fsync");
+        TempDir dir("bench-e21-fsync");
         core::PersistentNodeOptions options;
         options.fsync = storage::FsyncMode::kAlways;
         bench::Timer t;
@@ -123,7 +112,7 @@ int main() {
                    reopened.recovery().wal_records_replayed);
     }
     {
-        TempDir dir("nofsync");
+        TempDir dir("bench-e21-nofsync");
         core::PersistentNodeOptions options;
         options.fsync = storage::FsyncMode::kNever;
         bench::Timer t;
@@ -144,7 +133,7 @@ int main() {
     // --- 2b: snapshot shortens recovery ----------------------------------------
     bench::Table recovery({"recovery-path", "replayed-records", "seconds"});
     {
-        TempDir dir("snap");
+        TempDir dir("bench-e21-snap");
         core::PersistentNodeOptions options;
         options.fsync = storage::FsyncMode::kNever;
         {
@@ -178,7 +167,7 @@ int main() {
     // --- 3: cold vs warm block reads through the LRU cache ----------------------
     bench::Table reads({"pass", "reads", "seconds", "us/read", "hit-rate"});
     {
-        TempDir dir("cache");
+        TempDir dir("bench-e21-cache");
         {
             storage::BlockStore store(dir.path);
             UtxoSet state;

@@ -6,7 +6,6 @@
 // observability on and off — metrics are pure observers.
 #include <algorithm>
 #include <cinttypes>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/txlifecycle.hpp"
+#include "storage/file.hpp"
 #include "storage/lsm_backend.hpp"
 
 using namespace dlt;
@@ -104,9 +104,8 @@ int main() {
                                   ? th.elapsed_s() * 1e9 / static_cast<double>(kRecords)
                                   : 0.0;
 
-        // Hot family lookup: the shared_mutex + string-keyed map path vs the
-        // dense-index fast lane (both resolve the same 16 children, round-robin
-        // like a per-node counter on the message path).
+        // Hot family lookup: the shared_mutex + string-keyed map path, over 16
+        // children round-robin like a per-node counter on the message path.
         constexpr std::uint64_t kLookups = 10'000'000;
         constexpr std::size_t kChildren = 16;
         auto& family = registry.counter_family(
@@ -118,11 +117,6 @@ int main() {
         for (std::uint64_t i = 0; i < kLookups; ++i)
             family.with(labels[i % kChildren]).inc();
         const double ns_with = tw.elapsed_s() * 1e9 / static_cast<double>(kLookups);
-        bench::Timer ti;
-        for (std::uint64_t i = 0; i < kLookups; ++i)
-            family.with_index(i % kChildren).inc();
-        const double ns_with_index =
-            ti.elapsed_s() * 1e9 / static_cast<double>(kLookups);
 
         bench::Table table({"operation", "iterations", "ns/op"});
         table.row({"Counter::inc", bench::fmt_int(kIncs), bench::fmt(ns_inc, 2)});
@@ -130,20 +124,15 @@ int main() {
                    bench::fmt(ns_rec, 2)});
         table.row({"Family::with (map)", bench::fmt_int(kLookups),
                    bench::fmt(ns_with, 2)});
-        table.row({"Family::with_index (dense)", bench::fmt_int(kLookups),
-                   bench::fmt(ns_with_index, 2)});
         table.print();
         run.metric("ns_per_counter_inc", ns_inc);
         run.metric("ns_per_histogram_record", ns_rec);
         run.metric("ns_per_family_with", ns_with);
-        run.metric("ns_per_family_with_index", ns_with_index);
-        run.metric("family_dense_speedup",
-                   ns_with_index > 0 ? ns_with / ns_with_index : 0.0);
     }
 
     std::printf("\nState-engine (E28) instrumentation on the lookup hot path:\n");
     {
-        // The string-keyed slow lane measured above, priced on the state
+        // The string-keyed lookup measured above, priced on the state
         // engine's probe counter: what resolving it by name on every run
         // probe would cost. The LSM backend resolves its probe counters once,
         // at open, and pays only the inc. Then drive a small engine through
@@ -159,15 +148,13 @@ int main() {
             .counter("state_run_probes_total", "Sorted-run lookups attempted")
             .reset();
 
-        const auto dir =
-            std::filesystem::temp_directory_path() / "dlt-bench-e24-state";
-        std::filesystem::remove_all(dir);
         {
+            const storage::TempDir dir("bench-e24-state");
             storage::LsmOptions options;
             options.memtable_limit = 64;
             options.compact_trigger = 3;
             options.fsync = storage::FsyncMode::kNever;
-            storage::LsmBackend engine(dir, options);
+            storage::LsmBackend engine(dir.path, options);
             Rng rng(0xE24);
             std::vector<ledger::OutPoint> keys;
             for (std::uint64_t tag = 1; tag <= 20; ++tag) {
@@ -189,7 +176,6 @@ int main() {
                 (void)engine.get(op);
             }
         }
-        std::filesystem::remove_all(dir);
 
         const std::uint64_t flushes =
             registry.counter("state_runs_flushed_total", "").value();

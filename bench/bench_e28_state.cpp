@@ -20,6 +20,7 @@
 #include "ledger/difficulty.hpp"
 #include "ledger/validation.hpp"
 #include "scaling/bootstrap.hpp"
+#include "storage/file.hpp"
 #include "storage/lsm_backend.hpp"
 
 using namespace dlt;
@@ -27,18 +28,7 @@ using namespace dlt::ledger;
 
 namespace {
 
-struct TempDir {
-    std::filesystem::path path;
-    explicit TempDir(const std::string& tag) {
-        path = std::filesystem::temp_directory_path() / ("dlt-bench-e28-" + tag);
-        std::filesystem::remove_all(path);
-        std::filesystem::create_directories(path);
-    }
-    ~TempDir() {
-        std::error_code ec;
-        std::filesystem::remove_all(path, ec);
-    }
-};
+using storage::TempDir;
 
 crypto::Address addr(const std::string& seed) {
     return crypto::PrivateKey::from_seed(seed).address();
@@ -268,7 +258,8 @@ int main() {
     // resulting state digest.
     const auto apply_once = [&](bool persistent, bool big, const std::string& label) {
         const Prefill& prefill = big ? prefill_10x : prefill_1x;
-        TempDir dir(std::string(persistent ? "lsm" : "mem") + (big ? "10x" : "1x"));
+        TempDir dir(std::string(persistent ? "bench-e28-lsm" : "bench-e28-mem") +
+                    (big ? "10x" : "1x"));
         UtxoSet utxo = [&] {
             if (!persistent) return UtxoSet();
             storage::LsmOptions options;
@@ -363,7 +354,7 @@ int main() {
                 (is_cold ? kColdBlocks : kWorkBlocks) * kTxsPerBlock);
             double inmem_tps = 0, lsm_tps = 0;
             for (const bool persistent : {false, true}) {
-                TempDir dir(std::string(persistent ? "lsm" : "mem") +
+                TempDir dir(std::string(persistent ? "bench-e28-lsm" : "bench-e28-mem") +
                             (is_cold ? "-cold" : "-hot"));
                 UtxoSet utxo = [&] {
                     if (!persistent) return UtxoSet();
@@ -448,8 +439,8 @@ int main() {
     const auto chain = build_node_chain(genesis, kChain);
     {
         bench::Table recovery({"engine", "replayed-records", "reopen-ms"});
-        TempDir mem_dir("node-mem");
-        TempDir lsm_dir("node-lsm");
+        TempDir mem_dir("bench-e28-node-mem");
+        TempDir lsm_dir("bench-e28-node-lsm");
         core::PersistentNodeOptions mem_options;
         mem_options.fsync = storage::FsyncMode::kNever;
         core::PersistentNodeOptions lsm_options = mem_options;
@@ -495,7 +486,7 @@ int main() {
 
     // --- 4: pruning — block files drop once a snapshot covers them --------------
     {
-        TempDir dir("node-prune");
+        TempDir dir("bench-e28-node-prune");
         core::PersistentNodeOptions options;
         options.fsync = storage::FsyncMode::kNever;
         options.state_engine = core::StateEngine::kPersistent;

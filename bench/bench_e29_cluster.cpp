@@ -33,27 +33,13 @@
 #include "core/replica.hpp"
 #include "net/transport/sim_transport.hpp"
 #include "obs/txlifecycle.hpp"
+#include "storage/file.hpp"
 
 using namespace dlt;
 
 namespace {
 
-/// A fresh directory per run (mkdtemp), so runs at once never share data dirs.
-struct TempDir {
-    std::filesystem::path path;
-    explicit TempDir(const std::string& tag) {
-        std::string templ =
-            (std::filesystem::temp_directory_path() / ("dlt-bench-e29-" + tag + "-XXXXXX"))
-                .string();
-        if (::mkdtemp(templ.data()) == nullptr)
-            throw Error("bench_e29: mkdtemp(" + templ + ") failed");
-        path = templ;
-    }
-    ~TempDir() {
-        std::error_code ec;
-        std::filesystem::remove_all(path, ec);
-    }
-};
+using storage::TempDir;
 
 // --- Demand trace ------------------------------------------------------------
 
@@ -374,7 +360,7 @@ int main() {
     std::printf("demand trace: %zu transactions over %.1fs (%.0f tx/s offered)\n\n",
                 trace.size(), duration, offered_tps);
 
-    TempDir dirs("work");
+    TempDir dirs("bench-e29-work");
     bench::Table table({"cell", "engine", "confirmed", "tps", "p50 s", "p99 s",
                         "digests", "clean exits"});
 

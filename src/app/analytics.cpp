@@ -1,6 +1,8 @@
 #include "app/analytics.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 
 #include "common/assert.hpp"
 
@@ -33,83 +35,6 @@ double ChainAnalytics::miner_gini() const {
     const double mean = total / n;
     if (mean <= 0) return 0.0;
     return abs_diff_sum / (2.0 * n * n * mean);
-}
-
-BranchStats branch_stats_full_walk(const ledger::ChainStore& chain,
-                                   const Hash256& tip) {
-    DLT_EXPECTS(chain.contains(tip));
-    std::unordered_set<Hash256> canonical;
-    for (const auto& hash : chain.path_from_genesis(tip)) canonical.insert(hash);
-
-    BranchStats out;
-    // BFS the whole DAG from genesis (the full walk the ReorgMonitor avoids).
-    std::vector<Hash256> frontier{chain.genesis_hash()};
-    while (!frontier.empty()) {
-        const Hash256 hash = frontier.back();
-        frontier.pop_back();
-        const bool stale = !canonical.contains(hash);
-        if (stale) ++out.stale_blocks;
-        const auto& kids = chain.children(hash);
-        for (const auto& child : kids) frontier.push_back(child);
-        if (stale && kids.empty()) {
-            ++out.stale_branches;
-            std::uint64_t depth = 0;
-            Hash256 cursor = hash;
-            while (!canonical.contains(cursor)) {
-                ++depth;
-                cursor = chain.find(cursor)->block.header.prev_hash;
-            }
-            ++out.branch_depths[depth];
-            out.max_branch_depth = std::max(out.max_branch_depth, depth);
-        }
-    }
-    return out;
-}
-
-ReorgMonitor::ReorgMonitor(const Hash256& genesis, obs::Histogram* depth_histogram)
-    : depth_histogram_(depth_histogram) {
-    known_.emplace(genesis, genesis); // self-parent sentinel; genesis is canonical
-    child_count_.emplace(genesis, 0);
-}
-
-void ReorgMonitor::on_block_inserted(const ledger::Block& block, SimTime) {
-    const Hash256 hash = block.hash();
-    if (!known_.emplace(hash, block.header.prev_hash).second) return;
-    child_count_.emplace(hash, 0);
-    ++child_count_[block.header.prev_hash];
-    stale_.insert(hash); // off-chain until a connect event says otherwise
-}
-
-void ReorgMonitor::on_reorg(const std::vector<Hash256>& disconnected,
-                            const std::vector<Hash256>& connected, SimTime) {
-    for (const auto& hash : disconnected) stale_.insert(hash);
-    for (const auto& hash : connected) stale_.erase(hash);
-    if (disconnected.empty()) return; // pure extension, not a reorg event
-    const auto depth = static_cast<std::uint64_t>(disconnected.size());
-    ++reorg_count_;
-    blocks_disconnected_ += depth;
-    max_reorg_depth_ = std::max(max_reorg_depth_, depth);
-    ++reorg_depths_[depth];
-    if (depth_histogram_ != nullptr)
-        depth_histogram_->record(static_cast<double>(depth));
-}
-
-BranchStats ReorgMonitor::branch_stats() const {
-    BranchStats out;
-    out.stale_blocks = stale_.size();
-    for (const auto& hash : stale_) {
-        if (child_count_.at(hash) != 0) continue;
-        ++out.stale_branches;
-        std::uint64_t depth = 0;
-        Hash256 cursor = hash;
-        while (stale_.contains(cursor)) {
-            ++depth;
-            cursor = known_.at(cursor);
-        }
-        ++out.branch_depths[depth];
-        out.max_branch_depth = std::max(out.max_branch_depth, depth);
-    }
-    return out;
 }
 
 ChainAnalytics analyze_chain(const ledger::ChainStore& chain, const Hash256& tip) {

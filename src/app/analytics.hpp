@@ -1,27 +1,14 @@
 // Analytics middleware (paper §5.2 closes its middleware list with
 // "analytics"). Chain-level measurements over a ChainStore: miner concentration
 // (the quantitative face of the D property), fee and volume statistics, block
-// interval distribution, and reorg-depth telemetry.
-//
-// Reorg telemetry comes in two forms: `branch_stats_full_walk` recomputes
-// stale-branch depths from the chain store on every call (O(blocks * height)
-// path walks — the correctness oracle), while `ReorgMonitor` maintains the
-// same statistics incrementally from the consensus::ChainEvents stream
-// (O(reorg depth) per event, O(stale region) per query) and additionally
-// counts the reorg *events* a finished chain store cannot reveal.
+// interval distribution.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "common/time.hpp"
 #include "crypto/keys.hpp"
 #include "ledger/chain.hpp"
-#include "obs/metrics.hpp"
 
 namespace dlt::app {
 
@@ -51,69 +38,5 @@ struct ChainAnalytics {
 
 /// Analyze the chain ending at `tip`.
 ChainAnalytics analyze_chain(const ledger::ChainStore& chain, const Hash256& tip);
-
-/// Stale-branch depth telemetry relative to a canonical tip. A stale leaf's
-/// branch depth is the number of blocks between it and its first canonical
-/// ancestor (inclusive of the leaf, exclusive of the ancestor).
-struct BranchStats {
-    std::uint64_t stale_blocks = 0;   // blocks off the canonical chain
-    std::uint64_t stale_branches = 0; // stale leaves (distinct dead ends)
-    std::uint64_t max_branch_depth = 0;
-    std::map<std::uint64_t, std::uint64_t> branch_depths; // depth -> leaf count
-
-    bool operator==(const BranchStats&) const = default;
-};
-
-/// Reference implementation: full walk over the chain store (recomputes the
-/// canonical set via path_from_genesis and BFS-enumerates every block on each
-/// call). Correct but O(blocks * height); kept as the oracle the incremental
-/// ReorgMonitor is pinned against in tests/test_analytics.cpp.
-BranchStats branch_stats_full_walk(const ledger::ChainStore& chain,
-                                   const Hash256& tip);
-
-/// Incremental reorg telemetry, fed from consensus::ChainEvents (a pure
-/// observer of peer 0's chain). Maintains canonical-set membership in
-/// O(reorg depth) per event and answers branch_stats() touching only the
-/// stale region — no full chain walks. Also records the reorg *event*
-/// telemetry only the event stream can provide: event count, depth
-/// distribution, and blocks disconnected.
-class ReorgMonitor {
-public:
-    /// `depth_histogram`, when given, receives every observed reorg depth
-    /// (e.g. a registry histogram named consensus_reorg_depth).
-    explicit ReorgMonitor(const Hash256& genesis,
-                          obs::Histogram* depth_histogram = nullptr);
-
-    // --- Feed (wire to NakamotoNetwork::events()) -------------------------------
-    void on_block_inserted(const ledger::Block& block, SimTime at);
-    void on_reorg(const std::vector<Hash256>& disconnected,
-                  const std::vector<Hash256>& connected, SimTime at);
-
-    // --- Queries ----------------------------------------------------------------
-    /// Identical to branch_stats_full_walk over the observed chain.
-    BranchStats branch_stats() const;
-
-    std::uint64_t reorg_count() const { return reorg_count_; }
-    std::uint64_t max_reorg_depth() const { return max_reorg_depth_; }
-    std::uint64_t blocks_disconnected() const { return blocks_disconnected_; }
-    /// Observed reorg depths: depth -> event count.
-    const std::map<std::uint64_t, std::uint64_t>& reorg_depths() const {
-        return reorg_depths_;
-    }
-
-private:
-    bool is_canonical(const Hash256& hash) const {
-        return known_.contains(hash) && !stale_.contains(hash);
-    }
-
-    std::unordered_map<Hash256, Hash256> known_; // block -> parent (incl. genesis)
-    std::unordered_map<Hash256, std::uint32_t> child_count_;
-    std::unordered_set<Hash256> stale_; // known blocks off the canonical chain
-    std::uint64_t reorg_count_ = 0;
-    std::uint64_t max_reorg_depth_ = 0;
-    std::uint64_t blocks_disconnected_ = 0;
-    std::map<std::uint64_t, std::uint64_t> reorg_depths_;
-    obs::Histogram* depth_histogram_;
-};
 
 } // namespace dlt::app

@@ -1,7 +1,6 @@
 #include "app/scenario.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -45,12 +44,67 @@ const char* scenario_attack_name(ScenarioAttack a) {
 
 namespace {
 
+// The settings every cell shares. Times are virtual seconds; fractions are of
+// ScenarioConfig::duration. They are sized so disruption windows stay *inside*
+// the finality depth of each engine — the acceptance bar is that eclipse and
+// crash cells end with zero safety violations after heal/recovery, which is
+// only a meaningful claim if the windows could not have exceeded k anyway.
+constexpr std::size_t kNodeCount = 12;  // chain/DAG peers (PBFT is fixed at 3f+1)
+constexpr double kBlockInterval = 20.0; // chains
+constexpr double kRecordInterval = 5.0; // DAG
+constexpr std::uint64_t kFinalityDepth = 6;     // k for chains (reorg > k = unsafe)
+constexpr std::uint64_t kDagFinalityDepth = 32; // relinearization-depth bound
+constexpr std::uint64_t kSeed = 2027;
+
+/// Selfish miner: hash share of the attacker (> ~1/3 so the revenue
+/// superlinearity is visible) and its node id.
+constexpr double kSelfishHashShare = 0.40;
+/// Selfish chain cells run `duration × this` so the revenue share is a
+/// statistic, not a coin flip: at ~60 blocks the realized share of an
+/// α = 0.40 selfish miner spans 0.17–0.47 across seeds; at ~700 blocks it
+/// concentrates near the Eyal–Sirer prediction (≈ 0.49 for longest-chain).
+/// GHOST stays damped even at this length — stale honest siblings keep
+/// their subtree weight, which is the point of the rule.
+constexpr double kSelfishDurationMultiplier = 12.0;
+constexpr net::NodeId kAttacker = 1;
+constexpr net::NodeId kVictim = 2;
+
+/// Eclipse: attacker hash share (enough to grow a short private fork for
+/// the victim) and the disruption window.
+constexpr double kEclipseHashShare = 0.25;
+constexpr double kEclipseStartFrac = 0.45;
+constexpr double kEclipseEndFrac = 0.55;
+
+/// Spam flood: adversarial offered load and fee bid over the window.
+constexpr double kSpamTps = 50.0;
+constexpr double kSpamFeeRate = 6.0;
+constexpr double kSpamStartFrac = 0.25;
+constexpr double kSpamEndFrac = 0.75;
+
+/// Crash-during-reorg: cut at `kCrashCutFrac`, heal after
+/// `kCrashPartitionIntervals` block intervals; the victim is crashed just
+/// before the heal and recovered two intervals after it, so its catch-up
+/// reorg happens immediately post-recovery — which is when the shadow
+/// replica's WAL is cut.
+constexpr double kCrashCutFrac = 0.30;
+constexpr double kCrashPartitionIntervals = 8.0;
+/// Injector byte budget for the shadow WAL cut (dies mid-batch).
+constexpr std::uint64_t kCrashWalBudget = 600;
+
+/// PBFT offered load is `load × kPbftLoadMultiplier` requests/s (BFT
+/// ordering runs orders of magnitude faster than PoW confirmation).
+constexpr double kPbftLoadMultiplier = 10.0;
+
+/// Honest demand shape (population-scale fee-bidding agents).
+constexpr std::uint64_t kPopulation = 50'000;
+constexpr std::uint32_t kSubmitNodes = 4;
+
 /// Deterministic per-cell seed: every (engine, attack, load) cell gets an
-/// independent stream, and the whole matrix replays bit-for-bit from
-/// ScenarioConfig::seed alone.
-std::uint64_t cell_seed(const ScenarioConfig& cfg, ScenarioEngine engine,
-                        ScenarioAttack attack, double load_level) {
-    std::uint64_t s = cfg.seed * 1'000'003ULL;
+/// independent stream, and the whole matrix replays bit-for-bit from kSeed
+/// alone.
+std::uint64_t cell_seed(ScenarioEngine engine, ScenarioAttack attack,
+                        double load_level) {
+    std::uint64_t s = kSeed * 1'000'003ULL;
     s += static_cast<std::uint64_t>(engine) * 10'007ULL;
     s += static_cast<std::uint64_t>(attack) * 101ULL;
     s += static_cast<std::uint64_t>(load_level * 16.0);
@@ -108,29 +162,29 @@ void fill_mempool_stats(const ledger::Mempool& pool, CellResult& r) {
     r.admission_queue_full = s.result(ledger::AdmissionResult::kQueueFull);
 }
 
-WorkloadParams honest_demand(const ScenarioConfig& cfg, double tps) {
+WorkloadParams honest_demand(double tps) {
     WorkloadParams w;
-    w.population = cfg.population;
+    w.population = kPopulation;
     w.base_tps = tps;
     w.payload_bytes = 96;
     w.min_fee_rate = 0.5;
     w.max_fee_rate = 8.0;
-    w.submit_nodes = cfg.submit_nodes;
+    w.submit_nodes = kSubmitNodes;
     return w;
 }
 
 /// Spam-flood demand: a small cohort hammering hot shared accounts at a flat
-/// high bid (SpamFloodParams rendered as a WorkloadEngine configuration).
-WorkloadParams spam_demand(const ScenarioConfig& cfg) {
+/// high bid (a WorkloadEngine configuration).
+WorkloadParams spam_demand() {
     WorkloadParams w;
     w.population = 1'000;
-    w.base_tps = cfg.spam_tps;
+    w.base_tps = kSpamTps;
     w.payload_bytes = 96;
     w.hot_accounts = 16;
     w.hot_fraction = 0.5;
-    w.min_fee_rate = cfg.spam_fee_rate;
-    w.max_fee_rate = cfg.spam_fee_rate;
-    w.submit_nodes = cfg.submit_nodes;
+    w.min_fee_rate = kSpamFeeRate;
+    w.max_fee_rate = kSpamFeeRate;
+    w.submit_nodes = kSubmitNodes;
     return w;
 }
 
@@ -153,18 +207,18 @@ double schedule_shared_attack(consensus::SimHarness& net, const ScenarioConfig& 
                               std::optional<WorkloadEngine>& spam) {
     sim::Scheduler& sched = net.scheduler();
     if (attack == ScenarioAttack::kSpam) {
-        spam.emplace(net, spam_demand(cfg), seed + 2);
-        sched.schedule_at(cfg.spam_start_frac * cfg.duration, [&spam] { spam->start(); });
-        sched.schedule_at(cfg.spam_end_frac * cfg.duration, [&spam] { spam->stop(); });
+        spam.emplace(net, spam_demand(), seed + 2);
+        sched.schedule_at(kSpamStartFrac * cfg.duration, [&spam] { spam->start(); });
+        sched.schedule_at(kSpamEndFrac * cfg.duration, [&spam] { spam->stop(); });
         return -1.0;
     }
     DLT_EXPECTS(attack == ScenarioAttack::kEclipse);
     consensus::EclipseParams ep;
-    ep.attacker = cfg.attacker;
-    ep.victim = cfg.victim;
-    sched.schedule_at(cfg.eclipse_start_frac * cfg.duration,
+    ep.attacker = kAttacker;
+    ep.victim = kVictim;
+    sched.schedule_at(kEclipseStartFrac * cfg.duration,
                       [&net, &eclipse, ep] { eclipse.emplace(net, ep); });
-    const double disruption_end = cfg.eclipse_end_frac * cfg.duration;
+    const double disruption_end = kEclipseEndFrac * cfg.duration;
     sched.schedule_at(disruption_end, [&eclipse] {
         if (eclipse) eclipse->heal();
     });
@@ -206,17 +260,14 @@ double run_window(consensus::SimHarness& net, double duration, double tail, doub
 /// scorecard's "crash-during-reorg is safe" evidence.
 class ShadowReplica {
 public:
-    ShadowReplica(consensus::NakamotoNetwork& net, net::NodeId node,
-                  std::filesystem::path dir, std::uint64_t wal_budget)
-        : net_(net), node_(node), dir_(std::move(dir)), wal_budget_(wal_budget) {
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
+    ShadowReplica(consensus::NakamotoNetwork& net, net::NodeId node, const std::string& tag)
+        : net_(net), node_(node), dir_(tag) {
         const ledger::ChainStore& chain = net_.chain_of(node_);
         const auto* g = chain.find(chain.genesis_hash());
         DLT_EXPECTS(g != nullptr);
         genesis_ = g->block;
         options_.injector = &injector_;
-        store_ = std::make_unique<core::PersistentNode>(dir_, genesis_, options_);
+        store_ = std::make_unique<core::PersistentNode>(dir_.path, genesis_, options_);
 
         consensus::ChainEvents& ev = net_.events(node_);
         auto prev = std::move(ev.on_reorg);
@@ -245,7 +296,7 @@ public:
         injector_.arm(std::numeric_limits<std::uint64_t>::max());
         if (dead_) {
             store_.reset(); // close the torn files before recovery reopens them
-            store_ = std::make_unique<core::PersistentNode>(dir_, genesis_,
+            store_ = std::make_unique<core::PersistentNode>(dir_.path, genesis_,
                                                             options_);
             wal_replayed_ += store_->recovery().wal_records_replayed;
             ++recoveries_;
@@ -268,7 +319,7 @@ private:
         // window, so it arms the cut too.
         if (arm_pending_ && (!disconnected.empty() || connected.size() > 1)) {
             arm_pending_ = false;
-            injector_.arm(wal_budget_);
+            injector_.arm(kCrashWalBudget);
         }
         try {
             const ledger::ChainStore& chain = net_.chain_of(node_);
@@ -292,8 +343,7 @@ private:
 
     consensus::NakamotoNetwork& net_;
     net::NodeId node_;
-    std::filesystem::path dir_;
-    std::uint64_t wal_budget_;
+    storage::TempDir dir_;
     storage::CrashInjector injector_;
     core::PersistentNodeOptions options_;
     std::unique_ptr<core::PersistentNode> store_;
@@ -310,17 +360,16 @@ private:
 
 CellResult run_chain_cell(const ScenarioConfig& cfg, ScenarioEngine engine,
                           ScenarioAttack attack, double load_level) {
-    const std::uint64_t seed = cell_seed(cfg, engine, attack, load_level);
-    const double interval = cfg.block_interval;
+    const std::uint64_t seed = cell_seed(engine, attack, load_level);
+    const double interval = kBlockInterval;
     // Selfish cells need enough blocks for the revenue share to be a
-    // statistic rather than a seed lottery (see ScenarioConfig).
+    // statistic rather than a seed lottery (see kSelfishDurationMultiplier).
     const double duration =
-        cfg.duration * (attack == ScenarioAttack::kSelfish
-                            ? cfg.selfish_duration_multiplier
-                            : 1.0);
+        cfg.duration *
+        (attack == ScenarioAttack::kSelfish ? kSelfishDurationMultiplier : 1.0);
 
     consensus::NakamotoParams params;
-    params.node_count = cfg.node_count;
+    params.node_count = kNodeCount;
     params.block_interval = interval;
     params.branch_rule = engine == ScenarioEngine::kGhost
                              ? consensus::BranchRule::kGhost
@@ -330,28 +379,26 @@ CellResult run_chain_cell(const ScenarioConfig& cfg, ScenarioEngine engine,
     params.mempool.max_count = 2'000;
     params.mempool.min_fee_rate = 0.1;
     params.mempool.expiry = 600.0;
-    params.finality_depth = cfg.finality_depth;
+    params.finality_depth = kFinalityDepth;
     params.chain_tag = std::string("e27/") + scenario_engine_name(engine) + "/" +
                        scenario_attack_name(attack);
     if (attack == ScenarioAttack::kSelfish || attack == ScenarioAttack::kEclipse) {
-        const double share = attack == ScenarioAttack::kSelfish
-                                 ? cfg.selfish_hash_share
-                                 : cfg.eclipse_hash_share;
-        params.hashrate_shares.assign(cfg.node_count,
-                                      (1.0 - share) /
-                                          static_cast<double>(cfg.node_count - 1));
-        params.hashrate_shares[cfg.attacker] = share;
+        const double share =
+            attack == ScenarioAttack::kSelfish ? kSelfishHashShare : kEclipseHashShare;
+        params.hashrate_shares.assign(kNodeCount,
+                                      (1.0 - share) / static_cast<double>(kNodeCount - 1));
+        params.hashrate_shares[kAttacker] = share;
     }
 
     consensus::NakamotoNetwork net(params, seed);
 
-    std::vector<NodeMonitor> monitors(cfg.node_count);
-    for (net::NodeId n = 0; n < cfg.node_count; ++n) {
-        monitors[n].finality_depth = cfg.finality_depth;
+    std::vector<NodeMonitor> monitors(kNodeCount);
+    for (net::NodeId n = 0; n < kNodeCount; ++n) {
+        monitors[n].finality_depth = kFinalityDepth;
         monitors[n].attach(net.events(n));
     }
 
-    WorkloadEngine demand(net, honest_demand(cfg, load_level), seed + 1);
+    WorkloadEngine demand(net, honest_demand(load_level), seed + 1);
 
     // Attack composition. disruption_end < 0 means the cell never diverges
     // on purpose (honest, spam) and reconvergence is reported as 0.
@@ -368,7 +415,7 @@ CellResult run_chain_cell(const ScenarioConfig& cfg, ScenarioEngine engine,
     case ScenarioAttack::kSelfish:
         // Runs for the whole window; finish() at the end of it releases the
         // last withheld fork, so that is when reconvergence starts counting.
-        selfish.emplace(net, cfg.attacker);
+        selfish.emplace(net, kAttacker);
         disruption_end = duration;
         break;
     case ScenarioAttack::kEclipse:
@@ -376,25 +423,21 @@ CellResult run_chain_cell(const ScenarioConfig& cfg, ScenarioEngine engine,
         disruption_end = schedule_shared_attack(net, cfg, attack, seed, eclipse, spam);
         break;
     case ScenarioAttack::kCrashReorg: {
-        const double cut_at = cfg.crash_cut_frac * cfg.duration;
-        const double heal_at = cut_at + cfg.crash_partition_intervals * interval;
+        const double cut_at = kCrashCutFrac * cfg.duration;
+        const double heal_at = cut_at + kCrashPartitionIntervals * interval;
         const double crash_at = heal_at - interval; // miss the merge while down
         const double recover_at = heal_at + 2 * interval;
         net::FaultPlan plan;
-        plan.cut(cut_at, "e27/split", crash_groups(cfg.node_count));
-        plan.crash(crash_at, cfg.victim);
+        plan.cut(cut_at, "e27/split", crash_groups(kNodeCount));
+        plan.crash(crash_at, kVictim);
         plan.heal(heal_at, "e27/split");
-        plan.recover(recover_at, cfg.victim);
+        plan.recover(recover_at, kVictim);
         net.network().apply(plan);
         disruption_end = recover_at;
 
-        const std::string dir =
-            cfg.shadow_dir.empty() ? std::string("e27_shadow") : cfg.shadow_dir;
-        shadow.emplace(net, cfg.victim,
-                       std::filesystem::path(dir) /
-                           (std::string(scenario_engine_name(engine)) + "_l" +
-                            std::to_string(static_cast<int>(load_level))),
-                       cfg.crash_wal_budget);
+        shadow.emplace(net, kVictim,
+                       std::string("e27-shadow-") + scenario_engine_name(engine) + "-l" +
+                           std::to_string(static_cast<int>(load_level)));
         // The victim's catch-up reorg happens right after it recovers (it
         // learns the majority chain through gossip); cut the shadow WAL then,
         // and reopen one interval later.
@@ -434,26 +477,26 @@ CellResult run_chain_cell(const ScenarioConfig& cfg, ScenarioEngine engine,
     // End-of-run finalized-prefix audit: every peer must agree on the chain
     // up to (min height - k); each disagreeing peer is a safety violation.
     std::uint64_t min_height = net.height_of(0);
-    for (net::NodeId n = 1; n < cfg.node_count; ++n)
+    for (net::NodeId n = 1; n < kNodeCount; ++n)
         min_height = std::min(min_height, net.height_of(n));
-    if (min_height > cfg.finality_depth) {
-        const std::uint64_t final_height = min_height - cfg.finality_depth;
+    if (min_height > kFinalityDepth) {
+        const std::uint64_t final_height = min_height - kFinalityDepth;
         const Hash256 ref = net.chain_of(0).ancestor(
             net.tip_of(0), net.height_of(0) - final_height);
-        for (net::NodeId n = 1; n < cfg.node_count; ++n)
+        for (net::NodeId n = 1; n < kNodeCount; ++n)
             if (net.chain_of(n).ancestor(net.tip_of(n),
                                          net.height_of(n) - final_height) != ref)
                 ++r.safety_violations;
     }
 
     if (selfish) {
-        r.attacker_revenue_share = consensus::proposer_share(net, cfg.attacker);
-        r.attacker_hash_share = cfg.selfish_hash_share;
+        r.attacker_revenue_share = consensus::proposer_share(net, kAttacker);
+        r.attacker_hash_share = kSelfishHashShare;
         r.fork_blocks = selfish->stats().blocks_published;
     }
     if (eclipse) {
-        r.attacker_revenue_share = consensus::proposer_share(net, cfg.attacker);
-        r.attacker_hash_share = cfg.eclipse_hash_share;
+        r.attacker_revenue_share = consensus::proposer_share(net, kAttacker);
+        r.attacker_hash_share = kEclipseHashShare;
         r.fork_blocks = eclipse->fork_blocks();
     }
     if (shadow) {
@@ -471,12 +514,11 @@ CellResult run_chain_cell(const ScenarioConfig& cfg, ScenarioEngine engine,
 
 CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
                         double load_level) {
-    const std::uint64_t seed =
-        cell_seed(cfg, ScenarioEngine::kGhostDag, attack, load_level);
-    const double interval = cfg.record_interval;
+    const std::uint64_t seed = cell_seed(ScenarioEngine::kGhostDag, attack, load_level);
+    const double interval = kRecordInterval;
 
     consensus::dag::DagParams params;
-    params.node_count = cfg.node_count;
+    params.node_count = kNodeCount;
     params.record_interval = interval;
     params.validation.sig_mode = ledger::SigCheckMode::kSkip;
     params.max_block_txs = 400;
@@ -487,13 +529,13 @@ CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
 
     consensus::dag::DagNetwork net(params, seed);
 
-    std::vector<NodeMonitor> monitors(cfg.node_count);
-    for (net::NodeId n = 0; n < cfg.node_count; ++n) {
-        monitors[n].finality_depth = cfg.dag_finality_depth;
+    std::vector<NodeMonitor> monitors(kNodeCount);
+    for (net::NodeId n = 0; n < kNodeCount; ++n) {
+        monitors[n].finality_depth = kDagFinalityDepth;
         monitors[n].attach(net.events(n));
     }
 
-    WorkloadEngine demand(net, honest_demand(cfg, load_level), seed + 1);
+    WorkloadEngine demand(net, honest_demand(load_level), seed + 1);
 
     double disruption_end = -1.0;
     std::optional<WorkloadEngine> spam;
@@ -509,9 +551,9 @@ CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
         // Withhold/burst-release: the attacker keeps its records private and
         // dumps them every few intervals, forcing suffix re-linearizations at
         // every peer — the disruption GHOSTDAG's k-cluster rule is meant to
-        // bound (relinearization depth must stay under dag_finality_depth).
-        const net::NodeId attacker = cfg.attacker;
-        net.set_produced_record_hook(
+        // bound (relinearization depth must stay under kDagFinalityDepth).
+        const net::NodeId attacker = kAttacker;
+        net.set_mined_block_hook(
             [&withheld, &withheld_total, attacker](net::NodeId node,
                                                    const ledger::Block& record) {
                 if (node != attacker) return true;
@@ -523,7 +565,7 @@ CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
         for (double t = release_every; t < cfg.duration; t += release_every)
             sched.schedule_at(t, [&net, &withheld, attacker] {
                 for (const Hash256& hash : withheld)
-                    net.publish_record(attacker, hash);
+                    net.publish_block(attacker, hash);
                 withheld.clear();
             });
         disruption_end = cfg.duration;
@@ -538,13 +580,13 @@ CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
         // (PersistentNode journals linear chains), so this cell measures the
         // relinearization storm of a partition-heal merge with a crashed-and-
         // recovered producer in the minority side.
-        const double cut_at = cfg.crash_cut_frac * cfg.duration;
-        const double heal_at = cut_at + cfg.crash_partition_intervals * interval;
+        const double cut_at = kCrashCutFrac * cfg.duration;
+        const double heal_at = cut_at + kCrashPartitionIntervals * interval;
         net::FaultPlan plan;
-        plan.cut(cut_at, "e27/split", crash_groups(cfg.node_count));
-        plan.crash(heal_at - interval, cfg.victim);
+        plan.cut(cut_at, "e27/split", crash_groups(kNodeCount));
+        plan.crash(heal_at - interval, kVictim);
         plan.heal(heal_at, "e27/split");
-        plan.recover(heal_at + 2 * interval, cfg.victim);
+        plan.recover(heal_at + 2 * interval, kVictim);
         net.network().apply(plan);
         disruption_end = heal_at + 2 * interval;
         break;
@@ -558,9 +600,9 @@ CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
             demand.stop();
             if (spam) spam->stop();
             if (eclipse) eclipse->heal();
-            for (const Hash256& hash : withheld) net.publish_record(cfg.attacker, hash);
+            for (const Hash256& hash : withheld) net.publish_block(kAttacker, hash);
             withheld.clear();
-            net.set_produced_record_hook(nullptr);
+            net.set_mined_block_hook(nullptr);
         });
 
     CellResult r;
@@ -578,15 +620,15 @@ CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
 
     // Finalized-prefix audit over the GHOSTDAG total order: all peers must
     // share the order up to (min length - k).
-    std::vector<std::vector<Hash256>> orders(cfg.node_count);
+    std::vector<std::vector<Hash256>> orders(kNodeCount);
     std::size_t min_len = SIZE_MAX;
-    for (net::NodeId n = 0; n < cfg.node_count; ++n) {
+    for (net::NodeId n = 0; n < kNodeCount; ++n) {
         orders[n] = net.linear_order(n);
         min_len = std::min(min_len, orders[n].size());
     }
-    if (min_len > cfg.dag_finality_depth) {
-        const std::size_t prefix = min_len - cfg.dag_finality_depth;
-        for (net::NodeId n = 1; n < cfg.node_count; ++n)
+    if (min_len > kDagFinalityDepth) {
+        const std::size_t prefix = min_len - kDagFinalityDepth;
+        for (net::NodeId n = 1; n < kNodeCount; ++n)
             if (!std::equal(orders[0].begin(), orders[0].begin() + prefix,
                             orders[n].begin()))
                 ++r.safety_violations;
@@ -597,7 +639,7 @@ CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
         // proposed (no stale blocks — withheld records still merge in).
         const auto order = net.linear_order(0);
         std::size_t owned = 0, counted = 0;
-        const crypto::Address& addr = net.miner_address(cfg.attacker);
+        const crypto::Address& addr = net.miner_address(kAttacker);
         for (const Hash256& hash : order) {
             const auto* entry = net.store_of(0).find(hash);
             if (entry == nullptr) continue;
@@ -606,7 +648,7 @@ CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
         }
         r.attacker_revenue_share =
             counted > 0 ? static_cast<double>(owned) / counted : 0.0;
-        r.attacker_hash_share = 1.0 / static_cast<double>(cfg.node_count);
+        r.attacker_hash_share = 1.0 / static_cast<double>(kNodeCount);
         r.fork_blocks = withheld_total;
     }
     if (eclipse) r.fork_blocks = eclipse->fork_blocks();
@@ -620,10 +662,9 @@ CellResult run_dag_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
 
 CellResult run_pbft_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
                          double load_level) {
-    const std::uint64_t seed =
-        cell_seed(cfg, ScenarioEngine::kPbft, attack, load_level);
+    const std::uint64_t seed = cell_seed(ScenarioEngine::kPbft, attack, load_level);
     const double duration = cfg.pbft_duration;
-    const double offered = load_level * cfg.pbft_load_multiplier;
+    const double offered = load_level * kPbftLoadMultiplier;
 
     consensus::PbftConfig config;
     config.f = 1; // n = 4
@@ -635,7 +676,7 @@ CellResult run_pbft_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
     // Attack mapping. Observer replica is 1: never the equivocating primary
     // (0) and never the isolated/crashed replica (3).
     constexpr std::uint32_t kObserver = 1;
-    constexpr std::uint32_t kVictim = 3;
+    constexpr std::uint32_t kIsolated = 3;
     double disruption_end = -1.0;
     double spam_start = 0, spam_end = 0;
     switch (attack) {
@@ -649,21 +690,21 @@ CellResult run_pbft_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
         break;
     case ScenarioAttack::kEclipse: {
         net::FaultPlan plan;
-        plan.cut(cfg.eclipse_start_frac * duration, "e27/iso", {{kVictim}, {0, 1, 2}});
-        disruption_end = cfg.eclipse_end_frac * duration;
+        plan.cut(kEclipseStartFrac * duration, "e27/iso", {{kIsolated}, {0, 1, 2}});
+        disruption_end = kEclipseEndFrac * duration;
         plan.heal(disruption_end, "e27/iso");
         cluster.network().apply(plan);
         break;
     }
     case ScenarioAttack::kSpam:
-        spam_start = cfg.spam_start_frac * duration;
-        spam_end = cfg.spam_end_frac * duration;
+        spam_start = kSpamStartFrac * duration;
+        spam_end = kSpamEndFrac * duration;
         break;
     case ScenarioAttack::kCrashReorg: {
         net::FaultPlan plan;
-        plan.crash(cfg.crash_cut_frac * duration, kVictim);
-        disruption_end = cfg.crash_cut_frac * duration + 0.2 * duration;
-        plan.recover(disruption_end, kVictim);
+        plan.crash(kCrashCutFrac * duration, kIsolated);
+        disruption_end = kCrashCutFrac * duration + 0.2 * duration;
+        plan.recover(disruption_end, kIsolated);
         cluster.network().apply(plan);
         break;
     }
@@ -768,7 +809,7 @@ CellResult run_pbft_cell(const ScenarioConfig& cfg, ScenarioAttack attack,
 
 CellResult run_scenario_cell(const ScenarioConfig& cfg, ScenarioEngine engine,
                              ScenarioAttack attack, double load_level) {
-    DLT_EXPECTS(cfg.node_count >= 6);
+    static_assert(kNodeCount >= 6);
     DLT_EXPECTS(load_level > 0);
     switch (engine) {
     case ScenarioEngine::kNakamotoLongest:

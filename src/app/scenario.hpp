@@ -20,8 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "net/network.hpp"
-
 namespace dlt::app {
 
 /// Which consensus family executes a cell.
@@ -53,68 +51,12 @@ enum class ScenarioAttack : std::uint8_t {
 inline constexpr std::size_t kScenarioAttackCount = 5;
 const char* scenario_attack_name(ScenarioAttack a); // "honest", "selfish", ...
 
-/// Shared knobs for every cell. Times are virtual seconds; fractions are of
-/// `duration`. Defaults are sized so disruption windows stay *inside* the
-/// finality depth of each engine — the acceptance bar is that eclipse and
-/// crash cells end with zero safety violations after heal/recovery, which is
-/// only a meaningful claim if the windows could not have exceeded k anyway.
+/// The run lengths of every cell, in virtual seconds; the attack windows are
+/// fractions of `duration` (scenario.cpp holds the other settings).
 struct ScenarioConfig {
-    std::size_t node_count = 12;  // chain/DAG peers (PBFT is fixed at 3f+1)
-    double block_interval = 20.0; // chains
-    double record_interval = 5.0; // DAG
     double duration = 1200.0;     // attack/load window
     double tail = 400.0;          // post-window reconvergence allowance
     double pbft_duration = 300.0; // PBFT cells commit in ms, not minutes
-    std::uint64_t finality_depth = 6;      // k for chains (reorg > k = unsafe)
-    std::uint64_t dag_finality_depth = 32; // relinearization-depth bound
-    std::uint64_t seed = 2027;
-
-    /// Selfish miner: hash share of the attacker (> ~1/3 so the revenue
-    /// superlinearity is visible) and its node id.
-    double selfish_hash_share = 0.40;
-    /// Selfish chain cells run `duration × this` so the revenue share is a
-    /// statistic, not a coin flip: at ~60 blocks the realized share of an
-    /// α = 0.40 selfish miner spans 0.17–0.47 across seeds; at ~700 blocks it
-    /// concentrates near the Eyal–Sirer prediction (≈ 0.49 for longest-chain).
-    /// GHOST stays damped even at this length — stale honest siblings keep
-    /// their subtree weight, which is the point of the rule.
-    double selfish_duration_multiplier = 12.0;
-    net::NodeId attacker = 1;
-    net::NodeId victim = 2;
-
-    /// Eclipse: attacker hash share (enough to grow a short private fork for
-    /// the victim) and the disruption window.
-    double eclipse_hash_share = 0.25;
-    double eclipse_start_frac = 0.45;
-    double eclipse_end_frac = 0.55;
-
-    /// Spam flood: adversarial offered load and fee bid over the window.
-    double spam_tps = 50.0;
-    double spam_fee_rate = 6.0;
-    double spam_start_frac = 0.25;
-    double spam_end_frac = 0.75;
-
-    /// Crash-during-reorg: cut at `crash_cut_frac`, heal after
-    /// `crash_partition_intervals` block intervals; the victim is crashed just
-    /// before the heal and recovered two intervals after it, so its catch-up
-    /// reorg happens immediately post-recovery — which is when the shadow
-    /// replica's WAL is cut.
-    double crash_cut_frac = 0.30;
-    double crash_partition_intervals = 8.0;
-    /// Injector byte budget for the shadow WAL cut (dies mid-batch).
-    std::uint64_t crash_wal_budget = 600;
-
-    /// PBFT offered load is `load × pbft_load_multiplier` requests/s (BFT
-    /// ordering runs orders of magnitude faster than PoW confirmation).
-    double pbft_load_multiplier = 10.0;
-
-    /// Where the crash-reorg shadow replica persists. Empty → "e27_shadow"
-    /// under the working directory. Wiped per cell.
-    std::string shadow_dir;
-
-    /// Honest demand shape (population-scale fee-bidding agents).
-    std::uint64_t population = 50'000;
-    std::uint32_t submit_nodes = 4;
 };
 
 /// One cell of the matrix, scored on the shared resilience axes. Everything
@@ -162,7 +104,7 @@ struct CellResult {
 };
 
 /// Run one cell. `load_level` is the demand knob the matrix sweeps; chains
-/// and the DAG offer it as tx/s, PBFT multiplies it by pbft_load_multiplier.
+/// and the DAG offer it as tx/s, PBFT multiplies it by 10.
 CellResult run_scenario_cell(const ScenarioConfig& cfg, ScenarioEngine engine,
                              ScenarioAttack attack, double load_level);
 

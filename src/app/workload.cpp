@@ -11,6 +11,9 @@ namespace dlt::app {
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
+/// Probability a colliding hot-account bid re-bids above the incumbent (an
+/// RBF attempt) instead of bidding blind.
+constexpr double kRbfBumpFraction = 0.5;
 
 std::uint64_t splitmix64(std::uint64_t x) {
     x += 0x9E3779B97F4A7C15ull;
@@ -260,7 +263,7 @@ void WorkloadEngine::emit_one() {
             slot.best_rate = 0;
             slot.writers = 0;
         }
-        if (slot.writers > 0 && rng_.chance(params_.rbf_bump_fraction)) {
+        if (slot.writers > 0 && rng_.chance(kRbfBumpFraction)) {
             // Deliberate replacement: out-bid the incumbent by >= 20%.
             fee_rate = quantize(std::max(fee_rate, slot.best_rate * 1.2));
             ++stats_.rbf_bids;

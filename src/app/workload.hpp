@@ -110,9 +110,6 @@ struct WorkloadParams {
     /// deliberately collide, forcing conflict/RBF resolution in the mempool.
     std::uint64_t hot_accounts = 0;
     double hot_fraction = 0.0;
-    /// Probability a colliding hot-account bid re-bids above the incumbent
-    /// (an RBF attempt) instead of bidding blind.
-    double rbf_bump_fraction = 0.5;
 
     /// Record payload bytes per transaction.
     std::size_t payload_bytes = 96;

@@ -194,12 +194,9 @@ EclipseAttack::EclipseAttack(SimHarness& net, EclipseParams params)
             return true;
         });
 
-    if (params_.feed_private_fork) {
-        net.set_mined_block_hook(
-            [this](net::NodeId node, const ledger::Block& block) {
-                return on_mined(node, block);
-            });
-    }
+    net.set_mined_block_hook([this](net::NodeId node, const ledger::Block& block) {
+        return on_mined(node, block);
+    });
 }
 
 bool EclipseAttack::on_mined(net::NodeId node, const ledger::Block& block) {
@@ -216,7 +213,7 @@ void EclipseAttack::heal() {
     if (healed_) return;
     healed_ = true;
     net_->set_relay_filter(nullptr);
-    if (params_.feed_private_fork) net_->set_mined_block_hook(nullptr);
+    net_->set_mined_block_hook(nullptr);
     net_->network().heal(partition_);
     // Publish the withheld fork so every peer sees — and, given the honest
     // chain's greater work, deterministically discards — it.

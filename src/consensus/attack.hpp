@@ -117,12 +117,6 @@ double proposer_share(const NakamotoNetwork& net, net::NodeId node);
 struct EclipseParams {
     net::NodeId attacker = 0;
     net::NodeId victim = 1;
-    /// When true the attacker additionally mines *privately* and pushes its
-    /// secret blocks straight to the victim (push_block), so the victim adopts
-    /// an attacker-controlled fork while the honest network never sees it —
-    /// the double-spend setup. When false the victim is simply blackholed
-    /// (liveness attack only).
-    bool feed_private_fork = true;
 };
 
 /// Eclipse driver, for a NakamotoNetwork or a dag::DagNetwork: cuts the
@@ -131,7 +125,9 @@ struct EclipseParams {
 /// filter refusing to relay transactions and blocks across the
 /// attacker↔victim edge in either direction. Fetch replies stay unfiltered —
 /// the victim can still backfill ancestors of whatever the attacker chooses to
-/// show it. heal() reverses everything and releases any withheld attacker
+/// show it. The attacker mines privately and pushes its secret blocks straight
+/// to the victim, so the victim adopts an attacker-controlled fork the honest
+/// network never sees (the double-spend setup). heal() reverses everything and releases any withheld attacker
 /// fork; the victim then reorganizes onto the honest chain (or re-linearizes
 /// the merged DAG), which is what the scenario scorecard measures.
 class EclipseAttack {
@@ -148,9 +144,6 @@ public:
 
     std::uint64_t fork_blocks() const { return fork_.size(); }
 
-    /// Partition label used on the network ("eclipse/<victim>").
-    const std::string& partition_name() const { return partition_; }
-
 private:
     bool on_mined(net::NodeId node, const ledger::Block& block);
 
@@ -159,35 +152,6 @@ private:
     std::string partition_;
     std::vector<Hash256> fork_; // withheld blocks fed only to the victim
     bool healed_ = false;
-};
-
-// ---------------------------------------------------------------------------
-// Higher-layer attack descriptors (driven from app/scenario.cpp)
-// ---------------------------------------------------------------------------
-
-/// Fee-market spam flood: a cohort of adversarial agents submits sustained
-/// low-value traffic at `spam_tps`, bidding `fee_rate` (sat/byte analogue).
-/// With fee_rate below the honest market the mempool's feerate floor sheds
-/// the flood (QUEUE_FULL drop mix); with fee_rate above it, honest traffic is
-/// priced out instead — both cells appear in the scorecard.
-struct SpamFloodParams {
-    double spam_tps = 50.0;
-    double fee_rate = 1.0;
-    double start = 0.0;
-    double duration = 600.0;
-};
-
-/// Crash-during-reorg: crash `node` inside the reorg window a scheduled
-/// partition creates (cut at `cut_at`, heal at `heal_at` → the merge reorg),
-/// recover it at `recover_at`. The scenario harness shadows the node with a
-/// core::PersistentNode and replays the recovery from disk, asserting the
-/// recovered tip is consistent.
-struct CrashReorgParams {
-    net::NodeId node = 1;
-    double cut_at = 0.0;
-    double heal_at = 0.0;
-    double crash_at = 0.0;
-    double recover_at = 0.0;
 };
 
 } // namespace dlt::consensus

@@ -288,9 +288,8 @@ Block DagEngine::assemble_record() {
 DagNetwork::DagNetwork(DagParams params, std::uint64_t seed)
     // Finality is weight-driven (on_finalized), never depth-driven; a huge
     // depth keeps the tracker's k-deep rule inert.
-    : SimHarness(seed, params.node_count, params.overlay_degree, params.link,
-                 params.mempool, std::numeric_limits<std::uint64_t>::max() / 2,
-                 params.chain_tag),
+    : SimHarness(seed, params.node_count, params.link, params.mempool,
+                 std::numeric_limits<std::uint64_t>::max() / 2, params.chain_tag),
       params_(std::move(params)),
       genesis_(ledger::make_genesis(params_.chain_tag, ledger::easy_bits(1))) {
     DLT_EXPECTS(params_.record_interval > 0);

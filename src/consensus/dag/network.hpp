@@ -57,7 +57,6 @@ struct DagParams {
     std::size_t max_block_txs = 10'000;
     ledger::ValidationRules validation{};
     net::LinkParams link{};
-    std::size_t overlay_degree = 4;
     ledger::MempoolConfig mempool{};
     std::string chain_tag = "dag";
 };
@@ -171,12 +170,6 @@ public:
     void start();
 
     void publish_block(net::NodeId node, const Hash256& hash) override;
-    /// The produced-record hook and its release half: SimHarness's mined-block
-    /// hook and publish_block() under the DAG's names.
-    void set_produced_record_hook(MinedBlockHook hook) {
-        set_mined_block_hook(std::move(hook));
-    }
-    void publish_record(net::NodeId node, const Hash256& hash) { publish_block(node, hash); }
 
     // --- Inspection -------------------------------------------------------------
 

@@ -12,9 +12,9 @@
 
 namespace dlt::consensus {
 
-/// Pure-observer callbacks fired on one peer's chain events. The analytics
-/// layer's ReorgMonitor feeds from these instead of re-walking the chain
-/// store per query. Callbacks must not mutate consensus state — the
+/// Pure-observer callbacks fired on one peer's chain events. The lifecycle
+/// tracker and E27's NodeMonitor feed from these instead of re-walking the
+/// chain store per query. Callbacks must not mutate consensus state — the
 /// determinism contract of src/obs applies.
 ///
 /// For the DAG ledger the same hooks observe the *linearized* order: `height`

@@ -256,8 +256,8 @@ private:
 };
 
 NakamotoNetwork::NakamotoNetwork(NakamotoParams params, std::uint64_t seed)
-    : SimHarness(seed, params.node_count, params.overlay_degree, params.link,
-                 params.mempool, params.finality_depth, params.chain_tag),
+    : SimHarness(seed, params.node_count, params.link, params.mempool,
+                 params.finality_depth, params.chain_tag),
       params_(std::move(params)),
       genesis_(ledger::make_genesis(params_.chain_tag, ledger::easy_bits(1))) {
     DLT_EXPECTS(params_.block_interval > 0);
@@ -307,7 +307,6 @@ void NakamotoNetwork::publish_block(NodeId node, const Hash256& hash) {
 }
 
 void NakamotoNetwork::set_network_hashrate(double multiplier) {
-    network_hashrate_ = multiplier;
     for (auto& peer : peers_) peer->engine.set_network_hashrate(multiplier);
 }
 

@@ -40,7 +40,6 @@ struct NakamotoParams {
     std::size_t max_block_txs = 10'000;
     ledger::ValidationRules validation{};
     net::LinkParams link{};
-    std::size_t overlay_degree = 4;
     /// Per-peer mempool policy (bounds, relay floor, expiry, RBF bump). The
     /// default reproduces the historical greedy pool exactly.
     ledger::MempoolConfig mempool{};
@@ -173,7 +172,6 @@ public:
     /// after the next adjustment; without it, blocks stay proportionally
     /// faster — the experiment behind §2.7's scalability observation.
     void set_network_hashrate(double multiplier);
-    double network_hashrate() const { return network_hashrate_; }
 
     /// Difficulty bits a block extending `tip` must carry (per the retarget
     /// schedule; genesis bits when retargeting is off).
@@ -230,7 +228,6 @@ private:
                        const std::vector<Hash256>& connected);
 
     NakamotoParams params_;
-    double network_hashrate_ = 1.0;
     ledger::Block genesis_;
     std::vector<std::unique_ptr<Peer>> peers_;
     mutable NakamotoStats stats_; // filled by stats()

@@ -17,7 +17,6 @@ OrderingService::OrderingService(OrderingParams params, std::uint64_t seed)
     DLT_EXPECTS(params_.peer_count >= 2);
     DLT_EXPECTS(params_.batch_size >= 1);
     network_ = std::make_unique<net::Network>(scheduler_, rng_.fork(3));
-    if (params_.fee_market) fee_pool_.emplace(params_.mempool);
     ledgers_.resize(params_.peer_count);
     reorder_.resize(params_.peer_count);
     next_seq_.assign(params_.peer_count, 1);
@@ -37,23 +36,8 @@ std::uint32_t OrderingService::current_orderer() const {
 }
 
 void OrderingService::submit(Transaction tx) {
-    std::size_t queued = 0;
-    if (params_.fee_market) {
-        // Admission control replaces the unbounded FIFO: the pool may refuse
-        // (full / fee floor / duplicate) or RBF-replace; only admitted txs are
-        // eligible for batching, highest feerate first.
-        const Hash256 txid = tx.txid();
-        const auto verdict = fee_pool_->admit(std::move(tx), scheduler_.now());
-        if (verdict != ledger::AdmissionResult::kAccepted &&
-            verdict != ledger::AdmissionResult::kRbfReplaced)
-            return;
-        submit_times_[txid] = scheduler_.now();
-        queued = fee_pool_->size();
-    } else {
-        pending_.emplace_back(std::move(tx), scheduler_.now());
-        queued = pending_.size();
-    }
-    if (queued >= params_.batch_size) {
+    pending_.emplace_back(std::move(tx), scheduler_.now());
+    if (pending_.size() >= params_.batch_size) {
         if (batch_timer_) {
             scheduler_.cancel(*batch_timer_);
             batch_timer_.reset();
@@ -65,8 +49,7 @@ void OrderingService::submit(Transaction tx) {
 }
 
 void OrderingService::arm_timer() {
-    const bool idle = params_.fee_market ? fee_pool_->empty() : pending_.empty();
-    if (batch_timer_ || idle) return;
+    if (batch_timer_ || pending_.empty()) return;
     batch_timer_ = scheduler_.schedule_after(params_.batch_interval, [this] {
         batch_timer_.reset();
         cut_batch();
@@ -74,41 +57,21 @@ void OrderingService::arm_timer() {
 }
 
 void OrderingService::cut_batch() {
-    // Gather the batch first: FIFO order off the pending queue, or highest
-    // feerate first off the fee pool's maintained index.
+    // Gather the batch first, in FIFO order off the pending queue.
     std::vector<Transaction> batch;
     std::vector<SimTime> times;
-    if (params_.fee_market) {
-        fee_pool_->expire(scheduler_.now());
-        const auto tmpl = fee_pool_->build_template(
-            std::numeric_limits<std::size_t>::max(), params_.batch_size);
-        std::vector<Hash256> cut_ids;
-        cut_ids.reserve(tmpl.size());
-        for (const auto& entry : tmpl) {
-            batch.push_back(*entry.tx);
-            const Hash256 id = batch.back().txid();
-            cut_ids.push_back(id);
-            const auto it = submit_times_.find(id);
-            times.push_back(it != submit_times_.end() ? it->second
-                                                      : scheduler_.now());
-            if (it != submit_times_.end()) submit_times_.erase(it);
-        }
-        fee_pool_->remove_confirmed(cut_ids);
-    } else {
-        const std::size_t take = std::min(params_.batch_size, pending_.size());
-        for (std::size_t i = 0; i < take; ++i) {
-            batch.push_back(std::move(pending_[i].first));
-            times.push_back(pending_[i].second);
-        }
-        pending_.erase(pending_.begin(),
-                       pending_.begin() + static_cast<std::ptrdiff_t>(take));
+    const std::size_t take = std::min(params_.batch_size, pending_.size());
+    for (std::size_t i = 0; i < take; ++i) {
+        batch.push_back(std::move(pending_[i].first));
+        times.push_back(pending_[i].second);
     }
-    if (batch.empty()) return; // expiry can drain the fee pool under the timer
+    pending_.erase(pending_.begin(),
+                   pending_.begin() + static_cast<std::ptrdiff_t>(take));
+    if (batch.empty()) return;
 
     const std::uint32_t orderer = current_orderer();
     const std::uint64_t seq = next_sequence_++;
 
-    const std::size_t take = batch.size();
     auto& registry = obs::MetricsRegistry::global();
     registry.counter("ordering_batches_cut_total", "Batches cut by the orderer")
         .inc();
@@ -187,11 +150,6 @@ void OrderingService::on_deliver(std::uint32_t peer, const net::Delivery& d) {
 
 void OrderingService::run_for(SimDuration duration) {
     scheduler_.run_until(scheduler_.now() + duration);
-}
-
-const ledger::Mempool& OrderingService::mempool() const {
-    DLT_EXPECTS(fee_pool_.has_value());
-    return *fee_pool_;
 }
 
 const std::vector<OrderedBlock>& OrderingService::ledger_of(std::uint32_t peer) const {

@@ -17,7 +17,6 @@
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "ledger/block.hpp"
-#include "ledger/mempool.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
 
@@ -40,13 +39,6 @@ struct OrderingParams {
     /// Off by default: E04/E11's workloads submit unsigned transactions, and
     /// ordering throughput experiments isolate sequencing cost.
     bool verify_signatures = false;
-    /// Route submissions through a fee-market Mempool: admission control
-    /// (bounds, relay floor, RBF) applies, and batches are cut highest-feerate
-    /// first off the maintained index instead of FIFO. Off by default — the
-    /// historical FIFO path stays byte-identical (E04).
-    bool fee_market = false;
-    /// Admission policy when fee_market is on.
-    ledger::MempoolConfig mempool{};
 };
 
 /// One delivered block at a committing peer.
@@ -80,10 +72,6 @@ public:
     /// once, at peer 0). Always 0 unless params.verify_signatures is set.
     std::uint64_t rejected_batches() const { return rejected_batches_; }
 
-    /// The orderer's admission-control pool (fee_market mode only): admission
-    /// stats, resident size, fee-rate floor.
-    const ledger::Mempool& mempool() const;
-
     /// Mean submit->deliver latency at peer 0.
     std::optional<double> mean_delivery_latency() const;
 
@@ -100,11 +88,7 @@ private:
     Rng rng_;
     std::unique_ptr<net::Network> network_;
 
-    std::vector<std::pair<ledger::Transaction, SimTime>> pending_; // FIFO mode
-    /// Fee-market mode: the orderer's pool plus submit-time stamps for the
-    /// latency ledger (keyed by txid; erased when the tx is cut into a batch).
-    std::optional<ledger::Mempool> fee_pool_;
-    std::unordered_map<Hash256, SimTime> submit_times_;
+    std::vector<std::pair<ledger::Transaction, SimTime>> pending_; // FIFO
     std::uint64_t next_sequence_ = 1;
     std::optional<sim::EventId> batch_timer_;
 

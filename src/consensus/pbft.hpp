@@ -164,7 +164,6 @@ public:
     ~PbftCluster();
 
     std::uint32_t replica_count() const { return n_; }
-    std::uint32_t primary_of_view(std::uint32_t view) const { return view % n_; }
 
     /// Submit a client request; it is forwarded to every replica (clients
     /// multicast so a faulty primary cannot censor silently).

@@ -216,15 +216,27 @@ bool BlockRelay::request(const Hash256& hash, PeerId peer) {
 
 void BlockRelay::retry_requests() {
     // Ask a random peer again for every block still missing: the request or
-    // its reply may have been lost, or the peer asked may not have it.
+    // its reply may have been lost, or the peer asked may not have it. A
+    // block whose parent stayed missing for kMaxAsks ticks goes: no peer
+    // returns that parent.
     requested_.clear();
     const auto peers = transport_.peer_ids();
     if (peers.empty()) return;
-    for (const auto& [hash, orphan] : orphans_)
+    const auto missing = [this](const Hash256& p) {
+        return !index_.has(p) && !orphans_.contains(p);
+    };
+    for (auto it = orphans_.begin(); it != orphans_.end();) {
+        Orphan& orphan = it->second;
+        if (std::any_of(orphan.parents.begin(), orphan.parents.end(), missing) &&
+            ++orphan.missed_ticks == kMaxAsks) {
+            it = orphans_.erase(it);
+            continue;
+        }
         for (const Hash256& parent : orphan.parents)
-            if (!index_.has(parent) && !orphans_.contains(parent) &&
-                request(parent, peers[rng_.index(peers.size())]))
+            if (missing(parent) && request(parent, peers[rng_.index(peers.size())]))
                 ++retries_;
+        ++it;
+    }
 }
 
 } // namespace dlt::consensus

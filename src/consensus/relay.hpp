@@ -94,7 +94,9 @@ public:
 ///     not the block the hash names;
 ///   - parked until every parent is indexed, while its oldest missing
 ///     ancestors are asked of the sender, then of a random peer every sync
-///     interval until they arrive;
+///     interval until they arrive. A parked block whose parent is neither
+///     indexed nor parked on kMaxAsks retry ticks is dropped, and a block
+///     parked behind it then asks for it as its own missing parent;
 ///   - relayed to every peer but the sender when it came as "blk".
 /// At most kMaxOrphans blocks are parked; the one parked longest ago makes
 /// room for a new one.
@@ -103,6 +105,10 @@ public:
     /// Far above the most any experiment parks at once (20), so that only a
     /// flood reaches it.
     static constexpr std::size_t kMaxOrphans = 256;
+    /// Retry ticks on which a parked block's parent may be missing before the
+    /// block is dropped: 32 s at the default sync interval, so that only a
+    /// parent no peer returns reaches it.
+    static constexpr std::uint32_t kMaxAsks = 64;
     /// Seconds between fetch retries, unless the engine's owner sets another.
     static constexpr double kSyncInterval = 0.5;
 
@@ -133,7 +139,8 @@ private:
     struct Orphan {
         ledger::Block block;
         std::vector<Hash256> parents;
-        std::uint64_t parked = 0; // eviction order
+        std::uint64_t parked = 0;       // eviction order
+        std::uint32_t missed_ticks = 0; // retry ticks with a parent missing
     };
 
     void on_block(net::transport::PeerId from, ByteView payload, bool relay);

@@ -9,16 +9,24 @@ namespace dlt::consensus {
 using net::NodeId;
 using net::transport::PeerId;
 
+namespace {
+
+/// Each peer links to 4 random others (about 8 neighbours after the union): a
+/// sparse overlay on which no node hears from every origin, so transactions
+/// and blocks reach every miner by flooding, as on Bitcoin's.
+constexpr std::size_t kOverlayDegree = 4;
+
+} // namespace
+
 SimHarness::SimHarness(std::uint64_t seed, std::size_t node_count,
-                       std::size_t overlay_degree, const net::LinkParams& link,
-                       const ledger::MempoolConfig& mempool, std::uint64_t finality_depth,
-                       const std::string& chain_tag)
+                       const net::LinkParams& link, const ledger::MempoolConfig& mempool,
+                       std::uint64_t finality_depth, const std::string& chain_tag)
     : rng_(seed),
       network_(std::make_unique<net::Network>(scheduler_, rng_.fork(0xA))),
       hub_(std::make_unique<net::transport::SimTransportHub>(*network_, node_count)),
       lifecycle_(finality_depth, &obs::Tracer::global()) {
     DLT_EXPECTS(node_count >= 2);
-    network_->build_unstructured_overlay(overlay_degree, link);
+    network_->build_unstructured_overlay(kOverlayDegree, link);
     hub_->set_send_filter([this](PeerId from, PeerId to, const std::string& topic) {
         return !relay_filter_ || (topic != "tx" && topic != "blk") ||
                relay_filter_(from, to, topic);

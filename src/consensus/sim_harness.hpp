@@ -80,9 +80,9 @@ public:
 
 protected:
     /// Peers fork their streams from rng_, after the network forked its own.
-    SimHarness(std::uint64_t seed, std::size_t node_count, std::size_t overlay_degree,
-               const net::LinkParams& link, const ledger::MempoolConfig& mempool,
-               std::uint64_t finality_depth, const std::string& chain_tag);
+    SimHarness(std::uint64_t seed, std::size_t node_count, const net::LinkParams& link,
+               const ledger::MempoolConfig& mempool, std::uint64_t finality_depth,
+               const std::string& chain_tag);
 
     net::transport::Transport& endpoint(net::NodeId node) { return hub_->endpoint(node); }
     TxRelay& txs(net::NodeId node) { return txs_.at(node); }

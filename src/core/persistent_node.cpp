@@ -45,7 +45,6 @@ PersistentNode::PersistentNode(std::filesystem::path dir, const ledger::Block& g
     std::filesystem::create_directories(dir_);
 
     storage::BlockStoreOptions store_options;
-    store_options.cache_capacity = options_.block_cache_capacity;
     store_options.injector = options_.injector;
     store_options.fsync = options_.fsync;
     store_ = std::make_unique<storage::BlockStore>(dir_, store_options);

@@ -32,7 +32,6 @@ enum class StateEngine : std::uint8_t {
 };
 
 struct PersistentNodeOptions {
-    std::size_t block_cache_capacity = 64;
     storage::FsyncMode fsync = storage::FsyncMode::kAlways;
     /// Fault hook shared by the WAL, block store, and state-engine write
     /// paths; tests arm it to kill the node after N bytes and prove recovery.

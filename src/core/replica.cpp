@@ -13,12 +13,20 @@ using ledger::Block;
 using ledger::Transaction;
 using net::transport::PeerId;
 
+namespace {
+
+/// Every block's difficulty bits: the easiest compact target (Bitcoin's
+/// regtest value), since a replica's proof of work is simulated.
+constexpr std::uint32_t kGenesisBits = 0x207fffff;
+
+} // namespace
+
 Replica::Replica(net::transport::Transport& transport, ReplicaConfig config)
     : transport_(transport),
       config_(std::move(config)),
       rng_(config_.seed + 0x9e3779b97f4a7c15ull * (transport.local_id() + 1)),
       node_(config_.data_dir,
-            ledger::make_genesis(config_.chain_tag, config_.genesis_bits),
+            ledger::make_genesis(config_.chain_tag, kGenesisBits),
             {.fsync = config_.fsync, .state_engine = config_.state_engine}),
       txs_(transport, config_.mempool),
       miner_(crypto::PrivateKey::from_seed(config_.chain_tag + "/miner/" +
@@ -192,7 +200,7 @@ std::optional<std::vector<Bytes>> Replica::next_batch(std::uint64_t seq,
     header.prev_hash = node_.tip();
     header.height = seq;
     header.timestamp = transport_.now();
-    header.bits = config_.genesis_bits;
+    header.bits = kGenesisBits;
     header.nonce = rng_.next(); // simulated proof, as in the Nakamoto engine
     header.proposer = miner_;
     return std::vector<Bytes>{encode_to_bytes(ledger::build_block(

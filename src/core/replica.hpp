@@ -77,7 +77,6 @@ struct ReplicaConfig {
     ledger::SigCheckMode sig_mode = ledger::SigCheckMode::kSkip;
     ledger::MempoolConfig mempool{};
     std::string chain_tag = "e29";
-    std::uint32_t genesis_bits = 0x207fffff;
     /// Durable state root for this replica (created on first open).
     std::filesystem::path data_dir;
     StateEngine state_engine = StateEngine::kInMemory;

@@ -24,8 +24,6 @@ public:
     /// No false negatives; false positives at roughly the configured rate.
     bool maybe_contains(ByteView item) const;
 
-    std::size_t bit_count() const { return bit_count_; }
-    std::size_t hash_count() const { return hash_count_; }
     /// Fraction of bits set; >0.5 means the filter is overloaded.
     double fill_ratio() const;
 

@@ -70,7 +70,8 @@ std::uint32_t retarget(std::uint32_t current_bits, double actual_interval_second
     std::uint64_t carry = 0;
     const U256 low =
         old_target.mul_u64(static_cast<std::uint64_t>(ratio * 4294967296.0), &carry);
-    const U256 pow_limit = U256::max() >> params.min_difficulty_bits;
+    // Easiest permitted target (the chain's "pow limit"): max >> 1.
+    const U256 pow_limit = U256::max() >> 1;
     U256 new_target;
     if ((carry >> 32) != 0) {
         // True result >= 2^256: saturate at the easiest permitted target.

@@ -33,8 +33,6 @@ struct RetargetParams {
     std::uint64_t interval_blocks = 2016;     // blocks between adjustments
     double target_spacing = 600.0;            // desired seconds per block
     double max_adjustment = 4.0;              // clamp factor per retarget
-    /// Easiest permitted target (the chain's "pow limit"): max >> this.
-    unsigned min_difficulty_bits = 1;
 };
 
 /// Compute the next compact target given the actual time the last interval took.

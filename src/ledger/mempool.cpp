@@ -73,27 +73,6 @@ Mempool::Mempool(MempoolConfig config) : config_(config) {
     aggregate(); // resolve the registry children before the hot path
 }
 
-void Mempool::enable_gauges(const std::string& instance) {
-    auto& registry = obs::MetricsRegistry::global();
-    gauge_size_ = &registry
-                       .gauge_family("mempool_size", "Resident mempool entries",
-                                     {"instance"})
-                       .with({instance});
-    gauge_bytes_ = &registry
-                        .gauge_family("mempool_bytes",
-                                      "Serialized bytes resident in the mempool",
-                                      {"instance"})
-                        .with({instance});
-    update_gauges();
-}
-
-void Mempool::update_gauges() {
-    if (gauge_size_ != nullptr)
-        gauge_size_->set(static_cast<double>(pool_.size()));
-    if (gauge_bytes_ != nullptr)
-        gauge_bytes_->set(static_cast<double>(total_bytes_));
-}
-
 void Mempool::count_admission(AdmissionResult r) {
     ++stats_.admitted[static_cast<std::size_t>(r)];
     aggregate().admission[static_cast<std::size_t>(r)]->inc();
@@ -218,7 +197,6 @@ void Mempool::insert_entry(Transaction&& tx, const Hash256& id, Amount fee,
     if (config_.expiry > 0) expiry_ring_.push_back(RingSlot{now, entry.seq, id});
     total_bytes_ += size;
     pool_.emplace(id, std::move(entry));
-    update_gauges();
 }
 
 void Mempool::erase_entry(std::unordered_map<Hash256, Entry>::iterator it,
@@ -237,7 +215,6 @@ void Mempool::erase_entry(std::unordered_map<Hash256, Entry>::iterator it,
         aggregate().dropped[static_cast<std::size_t>(*reason)]->inc();
         if (drop_observer_) drop_observer_(id, *reason, at);
     }
-    update_gauges();
 }
 
 void Mempool::index_conflicts(const Transaction& tx, const Hash256& id,

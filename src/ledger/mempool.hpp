@@ -40,10 +40,6 @@
 #include "ledger/outpoint_hash.hpp"
 #include "ledger/transaction.hpp"
 
-namespace dlt::obs {
-class Gauge;
-} // namespace dlt::obs
-
 namespace dlt::ledger {
 
 /// Why an offered transaction was (not) admitted. kAccepted and kRbfReplaced
@@ -185,12 +181,6 @@ public:
     const MempoolConfig& config() const { return config_; }
     const MempoolStats& stats() const { return stats_; }
 
-    /// Register per-instance size/bytes gauges (mempool_size{instance},
-    /// mempool_bytes{instance}) in the global metrics registry. Aggregate
-    /// admission/drop counters are always maintained; gauges are opt-in
-    /// because one pool per peer would otherwise fight over a single value.
-    void enable_gauges(const std::string& instance);
-
 private:
     struct Entry {
         Transaction tx;
@@ -250,7 +240,6 @@ private:
     std::vector<Hash256> find_conflicts(const Transaction& tx) const;
     bool recently_expired(const Hash256& id) const;
     void count_admission(AdmissionResult r);
-    void update_gauges();
 
     MempoolConfig config_;
     std::uint64_t next_seq_ = 0;
@@ -268,9 +257,6 @@ private:
     SimTime expired_gen_started_ = 0;
     DropObserver drop_observer_;
     MempoolStats stats_;
-    /// Opt-in per-instance gauges (global registry); null until enable_gauges.
-    obs::Gauge* gauge_size_ = nullptr;
-    obs::Gauge* gauge_bytes_ = nullptr;
 };
 
 } // namespace dlt::ledger

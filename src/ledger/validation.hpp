@@ -24,7 +24,6 @@ struct ValidationRules {
     std::size_t max_txs_per_block = 50'000;
     SigCheckMode sig_mode = SigCheckMode::kFull;
     bool require_coinbase = true;
-    Amount max_subsidy = kInitialSubsidy;
 };
 
 /// Structural checks that need no chain context: size, Merkle root, coinbase

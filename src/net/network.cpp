@@ -33,17 +33,6 @@ Network::Network(sim::Scheduler& scheduler, Rng rng)
         "net_bytes_sent_total", "Payload bytes sent on the wire");
 }
 
-const TrafficStats& Network::stats() const {
-    stats_view_.messages_sent = counters_.messages_sent.value();
-    stats_view_.bytes_sent = counters_.bytes_sent.value();
-    stats_view_.messages_dropped = counters_.messages_dropped.value();
-    stats_view_.messages_lost = counters_.messages_lost.value();
-    stats_view_.messages_duplicated = counters_.messages_duplicated.value();
-    stats_view_.messages_partitioned = counters_.messages_partitioned.value();
-    stats_view_.messages_from_crashed = counters_.messages_from_crashed.value();
-    return stats_view_;
-}
-
 SimDuration LinkParams::sample_delay(std::size_t message_bytes, Rng& rng) const {
     const double jitter = latency_jitter > 0
                               ? (rng.uniform01() * 2.0 - 1.0) * latency_jitter
@@ -141,25 +130,25 @@ void Network::send(NodeId from, NodeId to, std::string topic,
 
     // Fail-stop: a crashed node originates nothing (not even counted as sent).
     if (nodes_[from].crashed) {
-        counters_.messages_from_crashed.inc();
+        ++stats_.messages_from_crashed;
         mirror_.from_crashed->inc();
         return;
     }
 
-    counters_.messages_sent.inc();
+    ++stats_.messages_sent;
     mirror_.sent->inc();
-    counters_.bytes_sent.inc(payload->size());
+    stats_.bytes_sent += payload->size();
     mirror_.bytes->inc(payload->size());
 
     if (partitioned(from, to)) {
-        counters_.messages_partitioned.inc();
+        ++stats_.messages_partitioned;
         mirror_.partitioned->inc();
         return;
     }
 
     const double loss = combine_probability(link->loss, global_faults_.loss);
     if (loss > 0 && rng_.chance(loss)) {
-        counters_.messages_lost.inc();
+        ++stats_.messages_lost;
         mirror_.lost->inc();
         return;
     }
@@ -167,7 +156,7 @@ void Network::send(NodeId from, NodeId to, std::string topic,
     const double duplicate =
         combine_probability(link->duplicate, global_faults_.duplicate);
     if (duplicate > 0 && rng_.chance(duplicate)) {
-        counters_.messages_duplicated.inc();
+        ++stats_.messages_duplicated;
         mirror_.duplicated->inc();
         schedule_delivery(from, to, topic, payload, *link);
     }
@@ -183,18 +172,18 @@ void Network::schedule_delivery(NodeId from, NodeId to, std::string topic,
             // Fail-stop: nothing from a crashed node is observed after the
             // crash instant, including traffic it sent while still alive.
             if (nodes_[from].crashed) {
-                counters_.messages_from_crashed.inc();
+                ++stats_.messages_from_crashed;
                 mirror_.from_crashed->inc();
                 return;
             }
             if (partitioned(from, to)) {
-                counters_.messages_partitioned.inc();
+                ++stats_.messages_partitioned;
                 mirror_.partitioned->inc();
                 return;
             }
             NodeState& target = nodes_[to];
             if (target.crashed || target.departed) {
-                counters_.messages_dropped.inc();
+                ++stats_.messages_dropped;
                 mirror_.dropped->inc();
                 return;
             }

@@ -67,11 +67,10 @@ struct Delivery {
     const Bytes& payload() const { return *body; }
 };
 
-/// Aggregate traffic counters (per network). Since the observability layer
-/// landed this is a *view*: the authoritative tallies are obs::Counter
-/// handles (per-network, mirrored into the global MetricsRegistry under
-/// net_messages_total{kind=...}); Network::stats() materializes this struct
-/// from them, so existing callers and recorded schemas are unchanged.
+/// Aggregate traffic counters (per network). Each Network counts these itself
+/// and mirrors every event into the global MetricsRegistry under
+/// net_messages_total{kind=...} and net_bytes_sent_total. The plain integers
+/// are safe because a network runs on one thread; the shared mirror is atomic.
 struct TrafficStats {
     std::uint64_t messages_sent = 0;
     std::uint64_t bytes_sent = 0;
@@ -80,18 +79,6 @@ struct TrafficStats {
     std::uint64_t messages_duplicated = 0;   // extra copies injected
     std::uint64_t messages_partitioned = 0;  // cut by an active partition
     std::uint64_t messages_from_crashed = 0; // fail-stop: silenced sender traffic
-};
-
-/// The obs handles behind TrafficStats: one per-network counter per kind plus
-/// the shared process-wide registry children every Network reports into.
-struct TrafficCounters {
-    obs::Counter messages_sent;
-    obs::Counter bytes_sent;
-    obs::Counter messages_dropped;
-    obs::Counter messages_lost;
-    obs::Counter messages_duplicated;
-    obs::Counter messages_partitioned;
-    obs::Counter messages_from_crashed;
 };
 
 /// A deterministic schedule of network faults: named partitions cut and healed
@@ -169,7 +156,6 @@ public:
 
     /// Network-wide loss/duplication, combined with each link's own values.
     void set_global_faults(FaultParams faults) { global_faults_ = faults; }
-    const FaultParams& global_faults() const { return global_faults_; }
 
     /// Activate a named partition: messages between nodes in different groups
     /// are dropped (counted in messages_partitioned) until heal(name). Nodes
@@ -192,11 +178,7 @@ public:
     /// sim-times; all must be >= now).
     void apply(const FaultPlan& plan);
 
-    /// Materialize the TrafficStats view from the live obs counters. The
-    /// returned reference stays valid (and is refreshed on every call).
-    const TrafficStats& stats() const;
-    /// Direct access to the per-network counter handles.
-    const TrafficCounters& counters() const { return counters_; }
+    const TrafficStats& stats() const { return stats_; }
     sim::Scheduler& scheduler() { return *scheduler_; }
     Rng& rng() { return rng_; }
 
@@ -242,8 +224,7 @@ private:
     std::unordered_map<std::string, std::unordered_map<NodeId, std::uint32_t>>
         partitions_;
     FaultParams global_faults_;
-    TrafficCounters counters_;
-    mutable TrafficStats stats_view_; // materialized by stats()
+    TrafficStats stats_;
     /// Shared children of the global-registry families this network mirrors
     /// its tallies into (net_messages_total{kind=...}, net_bytes_sent_total).
     struct RegistryMirror {

@@ -89,6 +89,9 @@ void accept_all(int listen_fd, Adopt&& adopt) {
 constexpr std::size_t kReadChunk = 65536;
 // Frames handed to one sendmsg().
 constexpr std::size_t kMaxIov = 64;
+// Reconnect backoff: base doubling up to max (seconds).
+constexpr double kReconnectBaseS = 0.05;
+constexpr double kReconnectMaxS = 2.0;
 
 // The transport whose event loop runs on this thread, if any.
 thread_local const TcpTransport* t_loop_owner = nullptr;
@@ -503,8 +506,8 @@ void TcpTransport::close_conn(PeerState& p) {
 
 void TcpTransport::arm_retry(PeerState& p) {
     p.backoff_s = p.backoff_s == 0
-                      ? config_.reconnect_base_s
-                      : std::min(p.backoff_s * 2, config_.reconnect_max_s);
+                      ? kReconnectBaseS
+                      : std::min(p.backoff_s * 2, kReconnectMaxS);
     p.retry_at = now() + p.backoff_s;
 }
 

@@ -72,9 +72,6 @@ struct TcpTransportConfig {
     /// Outbound queue bound per peer (framed bytes). Sends beyond it are
     /// refused — the backpressure signal.
     std::size_t max_queue_bytes_per_peer = 32u << 20;
-    /// Reconnect backoff: base doubling up to max (seconds).
-    double reconnect_base_s = 0.05;
-    double reconnect_max_s = 2.0;
 };
 
 class TcpTransport final : public Transport {

@@ -352,15 +352,6 @@ bool MetricsRegistry::write_json(const std::string& path) const {
     return true;
 }
 
-bool MetricsRegistry::write_prometheus(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    const std::string body = prometheus_text();
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-    return true;
-}
-
 void MetricsRegistry::reset() {
     std::shared_lock lock(m_);
     for (const auto& [name, entry] : entries_) {

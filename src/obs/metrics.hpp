@@ -136,16 +136,6 @@ public:
 
     Metric& with(const LabelValues& values);
 
-    /// Dense fast lane for hot single-label families indexed by a small
-    /// integer (node id, shard id, scenario cell): with_index(i) is
-    /// equivalent to with({std::to_string(i)}) but resolves through a
-    /// lock-free pointer table — two acquire loads on the hit path instead of
-    /// a shared_mutex acquisition plus a string-keyed map walk. Children are
-    /// shared with with(): both paths return the same metric and exporters
-    /// see exactly one child. Throws std::logic_error on a family whose label
-    /// count is not 1.
-    Metric& with_index(std::size_t index);
-
     const std::string& name() const { return name_; }
     const std::string& help() const { return help_; }
     const std::vector<std::string>& label_names() const { return label_names_; }
@@ -163,23 +153,12 @@ public:
     }
 
 private:
-    /// One generation of the dense index table. Grown copies replace it
-    /// RCU-style: readers may still hold a pointer to an old generation, so
-    /// retired slabs stay alive for the family's lifetime (growth is
-    /// geometric — total retired memory is bounded by ~1× the final slab).
-    struct DenseSlab {
-        explicit DenseSlab(std::size_t n) : slots(n) {}
-        std::vector<std::atomic<Metric*>> slots;
-    };
-
     std::string name_;
     std::string help_;
     std::vector<std::string> label_names_;
     HistogramOptions histogram_options_;
     mutable std::shared_mutex m_;
     std::map<LabelValues, std::unique_ptr<Metric>> children_;
-    std::atomic<DenseSlab*> dense_{nullptr};
-    std::vector<std::unique_ptr<DenseSlab>> dense_slabs_; // guarded by m_
 };
 
 using CounterFamily = Family<Counter>;
@@ -221,10 +200,9 @@ public:
     /// {count, sum, mean, p50, p99, buckets}. Sorted by name, deterministic.
     std::string json_snapshot() const;
 
-    /// Write json_snapshot() / prometheus_text() to a file; returns false when
-    /// the file cannot be opened (read-only working dir).
+    /// Write json_snapshot() to a file; returns false when the file cannot be
+    /// opened (read-only working dir).
     bool write_json(const std::string& path) const;
-    bool write_prometheus(const std::string& path) const;
 
     /// Zero every counter/gauge/histogram (children of families included).
     /// For test/bench isolation; registered names survive.
@@ -258,36 +236,6 @@ Metric& Family<Metric>::with(const LabelValues& values) {
             slot = std::make_unique<Metric>();
     }
     return *slot;
-}
-
-template <typename Metric>
-Metric& Family<Metric>::with_index(std::size_t index) {
-    if (DenseSlab* slab = dense_.load(std::memory_order_acquire);
-        slab != nullptr && index < slab->slots.size()) {
-        if (Metric* hit = slab->slots[index].load(std::memory_order_acquire))
-            return *hit;
-    }
-    if (label_names_.size() != 1)
-        throw std::logic_error("with_index requires a single-label family: " + name_);
-    // Miss: create/find the shared child, then publish its pointer in a slab
-    // slot so every later with_index(index) takes the lock-free path.
-    Metric& child = with({std::to_string(index)});
-    std::unique_lock lock(m_);
-    DenseSlab* cur = dense_.load(std::memory_order_relaxed);
-    if (cur == nullptr || index >= cur->slots.size()) {
-        std::size_t n = cur != nullptr ? cur->slots.size() : 64;
-        while (n <= index) n *= 2;
-        auto grown = std::make_unique<DenseSlab>(n);
-        if (cur != nullptr)
-            for (std::size_t i = 0; i < cur->slots.size(); ++i)
-                grown->slots[i].store(cur->slots[i].load(std::memory_order_relaxed),
-                                      std::memory_order_relaxed);
-        cur = grown.get();
-        dense_slabs_.push_back(std::move(grown));
-        dense_.store(cur, std::memory_order_release);
-    }
-    cur->slots[index].store(&child, std::memory_order_release);
-    return child;
 }
 
 } // namespace dlt::obs

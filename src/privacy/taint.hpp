@@ -45,8 +45,6 @@ public:
     /// True when `op` descends only from a single origin (perfectly traceable).
     bool fully_traceable(const ledger::OutPoint& op) const;
 
-    std::size_t indexed_transactions() const { return tx_inputs_.size(); }
-
 private:
     // txid -> the outpoints its inputs spent (empty for coinbase roots).
     std::unordered_map<Hash256, std::vector<ledger::OutPoint>> tx_inputs_;

@@ -6,6 +6,12 @@
 
 namespace dlt::scaling {
 
+namespace {
+
+constexpr double kSlotSeconds = 1.0; // seconds per shard block slot
+
+} // namespace
+
 ShardedLedger::ShardedLedger(ShardingParams params, std::uint64_t seed)
     : params_(params), rng_(seed), shards_(params.shard_count) {
     DLT_EXPECTS(params.shard_count >= 1);
@@ -100,7 +106,7 @@ std::size_t ShardedLedger::pending() const {
 
 double ShardedLedger::throughput_tps() const {
     if (stats_.slots == 0) return 0;
-    const double elapsed = static_cast<double>(stats_.slots) * params_.slot_duration;
+    const double elapsed = static_cast<double>(stats_.slots) * kSlotSeconds;
     return static_cast<double>(stats_.intra_committed + stats_.cross_committed) /
            elapsed;
 }

@@ -26,7 +26,6 @@ struct ShardTx {
 struct ShardingParams {
     std::size_t shard_count = 4;
     std::size_t per_shard_block_capacity = 100; // txs a shard commits per slot
-    double slot_duration = 1.0;                 // seconds per shard block slot
 };
 
 struct ShardingStats {

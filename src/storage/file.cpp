@@ -1,6 +1,7 @@
 #include "storage/file.hpp"
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -159,6 +160,26 @@ void sync_dir(const std::filesystem::path& dir) {
     const bool synced = fsync_counted(fd);
     ::close(fd);
     if (!synced) throw_errno("fsync", target);
+}
+
+// --- TempDir -----------------------------------------------------------------------
+
+namespace {
+
+std::filesystem::path make_temp_dir(const std::string& tag) {
+    std::string templ =
+        (std::filesystem::temp_directory_path() / ("dlt-" + tag + "-XXXXXX")).string();
+    if (::mkdtemp(templ.data()) == nullptr) throw_errno("mkdtemp", templ);
+    return templ;
+}
+
+} // namespace
+
+TempDir::TempDir(const std::string& tag) : path(make_temp_dir(tag)) {}
+
+TempDir::~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
 }
 
 } // namespace dlt::storage

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -152,5 +153,17 @@ void write_file_atomic(const std::filesystem::path& path, ByteView data);
 /// Call after renaming a synced file into place and before any step that
 /// relies on the rename (truncating the log it replaces, unlinking inputs).
 void sync_dir(const std::filesystem::path& dir);
+
+/// A fresh directory `dlt-<tag>-XXXXXX` under temp_directory_path(), made by
+/// mkdtemp so runs at once never share one, and removed with its contents on
+/// destruction. Throws StorageError when it cannot be made.
+struct TempDir {
+    explicit TempDir(const std::string& tag);
+    ~TempDir();
+    TempDir(const TempDir&) = delete;
+    TempDir& operator=(const TempDir&) = delete;
+
+    const std::filesystem::path path;
+};
 
 } // namespace dlt::storage

@@ -14,6 +14,9 @@ namespace {
 constexpr std::uint32_t kRunMagic = 0x53524E31; // "SRN1"
 constexpr std::uint32_t kRunVersion = 1;
 
+/// Decoded data blocks held in the shared block cache.
+constexpr std::size_t kBlockCacheCapacity = 256;
+
 // Record types inside a run file, in file order.
 constexpr std::uint8_t kRunHeader = 1;
 constexpr std::uint8_t kRunData = 2;
@@ -60,7 +63,7 @@ bool LsmBackend::Run::bloom_may_contain(const OutPoint& key) const {
 }
 
 LsmBackend::LsmBackend(const std::filesystem::path& dir, LsmOptions options)
-    : dir_(dir), options_(options), block_cache_(options.block_cache_capacity) {
+    : dir_(dir), options_(options), block_cache_(kBlockCacheCapacity) {
     auto& registry = obs::MetricsRegistry::global();
     probes_total_ =
         &registry.counter("state_run_probes_total", "Sorted-run lookups attempted");

@@ -53,8 +53,6 @@ struct LsmOptions {
     std::size_t memtable_limit = 4096;
     /// Run-file count that triggers a full merge at the next commit boundary.
     std::size_t compact_trigger = 6;
-    /// Decoded data blocks held in the shared block cache.
-    std::size_t block_cache_capacity = 256;
     CrashInjector* injector = nullptr;
     FsyncMode fsync = FsyncMode::kAlways;
 };

@@ -391,31 +391,31 @@ TEST(DagNetwork, LinearizationIdenticalAcrossThreadCounts) {
 
 TEST(DagNetwork, LostParentFetchRetriesUntilResolved) {
     // Regression (flushed out by E27's eclipse/crash cells): an orphan-parent
-    // fetch used to be sent exactly once — if the d/getblock or its reply was
-    // lost, or the asked peer answered d/notfound, the hash stayed pinned in
-    // the requested-set and every later request for it early-returned, so the
-    // orphan (and everything descending from it) could never resolve and the
-    // network never reconverged. Engineer the stall deterministically: node 0
-    // builds a private chain of records, then only the *newest* is published.
-    // Peers that first see it through a relay ask the relaying peer for the
-    // missing ancestors — which that peer does not hold either — and without
-    // retry rotation the d/notfound answer would strand the fetch forever
-    // (nothing ever re-broadcasts the ancestors).
+    // fetch used to be sent exactly once — if the getblk or its reply was
+    // lost, or the asked peer did not hold the record, the hash stayed pinned
+    // in the requested-set and every later request for it early-returned, so
+    // the orphan (and everything descending from it) could never resolve and
+    // the network never reconverged. Engineer the stall deterministically:
+    // node 0 builds a private chain of records, then only the *newest* is
+    // published. Peers that first see it through a relay ask the relaying
+    // peer for the missing ancestors — which that peer does not hold either,
+    // so no reply comes — and only BlockRelay's retry of a random peer every
+    // sync interval reaches node 0 (nothing ever re-broadcasts the ancestors).
     DagParams params = fast_params();
     DagNetwork net(params, 2608);
     net.start();
 
     std::vector<Hash256> withheld;
-    net.set_produced_record_hook(
+    net.set_mined_block_hook(
         [&withheld](net::NodeId node, const ledger::Block& record) {
             if (node != 0) return true;
             withheld.push_back(record.hash());
             return false;
         });
     while (withheld.size() < 4) net.run_for(5.0);
-    net.set_produced_record_hook(nullptr);
+    net.set_mined_block_hook(nullptr);
 
-    net.publish_record(0, withheld.back());
+    net.publish_block(0, withheld.back());
     net.run_for(300.0);
 
     EXPECT_TRUE(net.converged());
@@ -453,7 +453,7 @@ TEST(DagNetwork, ReconvergesAfterPartitionAndCrash) {
 /// transaction per second until it makes one, and return it.
 ledger::Block withhold_nine_tx_record(DagNetwork& net) {
     std::optional<ledger::Block> held;
-    net.set_produced_record_hook([&](net::NodeId node, const ledger::Block& record) {
+    net.set_mined_block_hook([&](net::NodeId node, const ledger::Block& record) {
         if (node != 0 || held || record.txs.size() != 9) return true;
         held = record;
         return false;
@@ -462,7 +462,7 @@ ledger::Block withhold_nine_tx_record(DagNetwork& net) {
         net.submit_transaction(record_tx("erin", i), 0);
         net.run_for(1.0);
     }
-    net.set_produced_record_hook(nullptr);
+    net.set_mined_block_hook(nullptr);
     return *held;
 }
 
@@ -480,7 +480,7 @@ TEST(DagNetwork, ForgedBodyDoesNotTaintTheRecordItClaims) {
     forged.txs.push_back(record_tx("mallory", 1));
     net.push_block(0, victim, forged);
     net.run_for(1.0);
-    net.publish_record(0, record.hash());
+    net.publish_block(0, record.hash());
     net.run_for(600.0);
 
     EXPECT_TRUE(net.converged());
@@ -501,7 +501,7 @@ TEST(DagNetwork, BodyRepeatingItsLastTransactionIsNotStored) {
     ASSERT_EQ(forged.compute_merkle_root(), record.header.merkle_root);
     net.push_block(0, victim, forged);
     net.run_for(1.0);
-    net.publish_record(0, record.hash());
+    net.publish_block(0, record.hash());
     net.run_for(300.0);
 
     const DagStore::Entry* stored = net.store_of(victim).find(record.hash());

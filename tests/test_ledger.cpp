@@ -3,10 +3,8 @@
 // (longest-chain and GHOST selection), mempool policy, block validation, and
 // the block builder every engine produces blocks with.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -22,6 +20,7 @@
 #include "ledger/transaction.hpp"
 #include "ledger/utxo.hpp"
 #include "ledger/validation.hpp"
+#include "storage/file.hpp"
 #include "storage/lsm_backend.hpp"
 
 namespace {
@@ -920,21 +919,6 @@ BlockHeader next_header(const Block& parent, double now, Rng& rng) {
     return header;
 }
 
-struct ScratchDir {
-    std::filesystem::path path;
-    ScratchDir() {
-        static std::atomic<unsigned> counter{0};
-        path = std::filesystem::temp_directory_path() /
-               ("dlt-ledger-test-" + std::to_string(::getpid()) + "-" +
-                std::to_string(counter.fetch_add(1)));
-        std::filesystem::create_directories(path);
-    }
-    ~ScratchDir() {
-        std::error_code ec;
-        std::filesystem::remove_all(path, ec);
-    }
-};
-
 // Small enough that the count limit binds in most rounds and the byte budget
 // in the rest.
 constexpr std::size_t kBlockBytes = 2'500;
@@ -952,7 +936,7 @@ TEST(BlockBuilder, MatchesTheCopyBasedWalkOnEveryBackend) {
     for (const bool lsm : {false, true}) {
         for (std::uint64_t seed = 1; seed <= 6; ++seed) {
             SCOPED_TRACE((lsm ? "lsm seed " : "memory seed ") + std::to_string(seed));
-            ScratchDir dir;
+            storage::TempDir dir("ledger-test");
             Rng rng(seed);
             UtxoSet state = seeded_state(
                 lsm ? std::unique_ptr<StateBackend>(std::make_unique<storage::LsmBackend>(

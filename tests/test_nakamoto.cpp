@@ -283,6 +283,44 @@ TEST(BlockRelay, OrphanFloodStopsAtTheCapAndAnHonestBranchStillConnects) {
     EXPECT_LE(net.orphan_count(0), BlockRelay::kMaxOrphans);
 }
 
+TEST(BlockRelay, DropsAParkedBlockWhoseParentNoPeerReturns) {
+    // Peer 2 pushes peer 0 the cap's worth of well-formed blocks whose parents
+    // nobody has, and then the network stays quiet. Each parent is asked for
+    // again on every sync interval until it has been missing on kMaxAsks
+    // retry ticks; then its block is dropped. After kMaxAsks + 1 intervals
+    // peer 0 parks nothing and sends nothing, and an honest branch pushed
+    // after that still connects.
+    NakamotoParams params = fast_params();
+    params.node_count = 3;
+    params.hashrate_shares = {0, 1, 0};
+    NakamotoNetwork net(params, 31);
+    std::vector<Hash256> branch;
+    net.set_mined_block_hook([&branch](net::NodeId, const Block& block) {
+        branch.push_back(block.hash());
+        return false;
+    });
+    net.start();
+    for (std::size_t i = 0; i < BlockRelay::kMaxOrphans; ++i) {
+        Block orphan;
+        orphan.header.prev_hash = crypto::sha256(to_bytes("missing/" + std::to_string(i)));
+        orphan.header.height = 1;
+        orphan.header.merkle_root = orphan.compute_merkle_root();
+        net.push_block(2, 0, orphan);
+    }
+    net.run_for((BlockRelay::kMaxAsks + 1) * BlockRelay::kSyncInterval);
+    EXPECT_EQ(net.orphan_count(0), 0u);
+    const std::uint64_t sent = net.traffic().messages_sent;
+    net.run_for(10 * BlockRelay::kSyncInterval);
+    EXPECT_EQ(net.traffic().messages_sent, sent); // no getblk, nor anything else
+
+    while (branch.size() < 3) net.run_for(30.0);
+    const Hash256 tip = branch.back();
+    net.push_block(1, 0, net.chain_of(1).find(tip)->block);
+    net.run_for(5.0);
+    EXPECT_EQ(net.tip_of(0), tip);
+    EXPECT_EQ(net.orphan_count(0), 0u);
+}
+
 TEST(TxRelay, DropsALateRelayOfAConfirmedTransaction) {
     // A record carries no UTXO conflict, so only the seen-set stops a relay
     // that arrives after its block from putting it back in the pool.

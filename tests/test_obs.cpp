@@ -1,9 +1,8 @@
 // Observability layer tests: histogram bucket boundaries and quantile
 // estimation, labeled-family lookup, concurrent counter hammering (run under
 // TSan in CI), Chrome-trace JSON well-formedness, tx-lifecycle stage tracking
-// through reorgs, the ReorgMonitor-vs-full-walk equivalence on a reorg-heavy
-// chain, and the pure-observer determinism contract (identical simulation
-// outcomes with observability on or off).
+// through reorgs, and the pure-observer determinism contract (identical
+// simulation outcomes with observability on or off).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +15,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "app/analytics.hpp"
 #include "consensus/nakamoto.hpp"
 #include "consensus/pbft.hpp"
 #include "crypto/sha256.hpp"
@@ -210,57 +208,6 @@ TEST(ObsFamily, ConcurrentWithIsSafe) {
     family.visit([&](const LabelValues&, const Counter& c) { total += c.value(); });
     EXPECT_EQ(total, 8u * 1000u);
     EXPECT_EQ(family.size(), 17u);
-}
-
-TEST(ObsFamily, WithIndexSharesChildrenWithWith) {
-    CounterFamily family("node_msgs_total", "by node", {"node"});
-    Counter& dense = family.with_index(5);
-    dense.inc(4);
-    // Both lanes resolve to the same child, in either lookup order.
-    EXPECT_EQ(&family.with({"5"}), &dense);
-    EXPECT_EQ(&family.with_index(5), &dense);
-    Counter& sparse_first = family.with({"12"});
-    sparse_first.inc();
-    EXPECT_EQ(&family.with_index(12), &sparse_first);
-    // Exporters see exactly one child per index, not a dense/sparse pair.
-    EXPECT_EQ(family.size(), 2u);
-    EXPECT_EQ(family.with_index(5).value(), 4u);
-}
-
-TEST(ObsFamily, WithIndexRequiresSingleLabel) {
-    CounterFamily two("pair_total", "", {"a", "b"});
-    EXPECT_THROW(two.with_index(0), std::logic_error);
-    CounterFamily zero("bare_total", "", {});
-    EXPECT_THROW(zero.with_index(0), std::logic_error);
-}
-
-TEST(ObsFamily, WithIndexGrowsPastInitialSlab) {
-    CounterFamily family("shard_total", "", {"shard"});
-    // First touch far beyond the 64-slot initial slab, then everything below
-    // it: earlier slots must survive the RCU-style slab growth.
-    family.with_index(1000).inc(9);
-    for (std::size_t i = 0; i < 200; ++i) family.with_index(i).inc();
-    EXPECT_EQ(family.with_index(1000).value(), 9u);
-    for (std::size_t i = 0; i < 200; ++i)
-        EXPECT_EQ(family.with({std::to_string(i)}).value(), 1u) << i;
-    EXPECT_EQ(family.size(), 201u);
-}
-
-TEST(ObsFamily, ConcurrentWithIndexIsSafe) {
-    CounterFamily family("f", "", {"i"});
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 8; ++t)
-        threads.emplace_back([&family] {
-            // Mix both lanes and force slab growth mid-flight.
-            for (int i = 0; i < 1000; ++i) {
-                family.with_index(static_cast<std::size_t>(i % 17)).inc();
-                if (i % 100 == 0) family.with_index(64 + static_cast<std::size_t>(i)).inc();
-            }
-        });
-    for (auto& t : threads) t.join();
-    std::uint64_t dense_total = 0;
-    for (std::size_t i = 0; i < 17; ++i) dense_total += family.with_index(i).value();
-    EXPECT_EQ(dense_total, 8u * 1000u);
 }
 
 // --- Registry ----------------------------------------------------------------
@@ -513,52 +460,6 @@ TEST(ObsTxLifecycle, ReorgRevokesInclusionButNeverFinality) {
     tracker.on_block_disconnected(6, {tx});
     EXPECT_TRUE(tracker.find(tx)->final_at.has_value());
     EXPECT_TRUE(tracker.find(tx)->included.has_value());
-}
-
-// --- ReorgMonitor vs full-walk oracle ---------------------------------------
-
-TEST(ObsReorgMonitor, MatchesFullWalkOnReorgHeavyChain) {
-    // E1-shaped run tuned for contention: a short block interval relative to
-    // gossip latency makes forks and multi-block reorgs common. The
-    // incremental monitor (fed only insert/reorg events from peer 0) must
-    // report the exact branch statistics of a full DAG walk.
-    consensus::NakamotoParams params;
-    params.node_count = 8;
-    params.block_interval = 1.0;    // seconds, on par with link latency...
-    params.link.latency_mean = 0.8; // ...so peers mine on stale tips routinely
-    params.link.latency_jitter = 0.5;
-    params.validation.sig_mode = ledger::SigCheckMode::kSkip;
-    consensus::NakamotoNetwork net(params, /*seed=*/424242);
-
-    app::ReorgMonitor monitor(net.chain_of(0).genesis_hash());
-    net.events().on_block_inserted = [&](const ledger::Block& b, SimTime at) {
-        monitor.on_block_inserted(b, at);
-    };
-    net.events().on_reorg = [&](const std::vector<Hash256>& disconnected,
-                                const std::vector<Hash256>& connected,
-                                SimTime at) {
-        monitor.on_reorg(disconnected, connected, at);
-    };
-    net.start();
-    net.run_for(1200.0);
-    net.run_for(30.0); // settle in-flight gossip
-
-    const app::BranchStats walked =
-        app::branch_stats_full_walk(net.chain_of(0), net.tip_of(0));
-    const app::BranchStats incremental = monitor.branch_stats();
-    EXPECT_EQ(incremental, walked);
-
-    // The run must actually have exercised reorgs, or this test proves nothing.
-    EXPECT_GT(monitor.reorg_count(), 10u);
-    EXPECT_GT(walked.stale_blocks, 0u);
-    EXPECT_GE(monitor.max_reorg_depth(), 2u);
-    EXPECT_EQ(monitor.blocks_disconnected(),
-              [&] {
-                  std::uint64_t sum = 0;
-                  for (const auto& [depth, n] : monitor.reorg_depths())
-                      sum += depth * n;
-                  return sum;
-              }());
 }
 
 // --- Determinism contract ----------------------------------------------------

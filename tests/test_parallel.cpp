@@ -27,6 +27,8 @@
 #include "datastruct/mpt.hpp"
 #include "ledger/block.hpp"
 #include "ledger/validation.hpp"
+#include "net/network.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -460,6 +462,81 @@ TEST(Determinism, NakamotoRunIsIdenticalAtAnyWorkerCount) {
     const SimFingerprint parallel = run_nakamoto(3);
     EXPECT_EQ(serial, parallel);
     EXPECT_GT(serial.height, 0u);
+}
+
+// --- Whole networks on the pool ----------------------------------------------------
+
+/// One network's traffic under every kind of fault the tallies count: global
+/// loss and duplication, a partition that heals, and a crash that recovers.
+net::TrafficStats run_faulty_network(std::uint64_t seed) {
+    consensus::NakamotoParams params;
+    params.node_count = 8;
+    params.block_interval = 5.0;
+    params.validation.sig_mode = ledger::SigCheckMode::kSkip;
+    consensus::NakamotoNetwork net(params, seed);
+    net.network().set_global_faults({.loss = 0.1, .duplicate = 0.05});
+    net::FaultPlan plan;
+    plan.cut(20.0, "split", {{0, 1, 2}, {3, 4, 5, 6, 7}});
+    plan.crash(30.0, 4);
+    plan.heal(60.0, "split");
+    plan.recover(80.0, 4);
+    net.network().apply(plan);
+    net.start();
+    net.run_for(200.0);
+    return net.traffic();
+}
+
+/// The process-wide mirror every Network reports into, in TrafficStats' shape.
+net::TrafficStats registry_mirror() {
+    auto& registry = obs::MetricsRegistry::global();
+    auto& messages = registry.counter_family("net_messages_total",
+                                             "Network messages by outcome", {"kind"});
+    net::TrafficStats m;
+    m.messages_sent = messages.with({"sent"}).value();
+    m.bytes_sent =
+        registry.counter("net_bytes_sent_total", "Payload bytes sent on the wire").value();
+    m.messages_dropped = messages.with({"dropped"}).value();
+    m.messages_lost = messages.with({"lost"}).value();
+    m.messages_duplicated = messages.with({"duplicated"}).value();
+    m.messages_partitioned = messages.with({"partitioned"}).value();
+    m.messages_from_crashed = messages.with({"from_crashed"}).value();
+    return m;
+}
+
+/// (name, field) for every TrafficStats field.
+const std::vector<std::pair<const char*, std::uint64_t net::TrafficStats::*>>
+    kTrafficFields = {
+        {"messages_sent", &net::TrafficStats::messages_sent},
+        {"bytes_sent", &net::TrafficStats::bytes_sent},
+        {"messages_dropped", &net::TrafficStats::messages_dropped},
+        {"messages_lost", &net::TrafficStats::messages_lost},
+        {"messages_duplicated", &net::TrafficStats::messages_duplicated},
+        {"messages_partitioned", &net::TrafficStats::messages_partitioned},
+        {"messages_from_crashed", &net::TrafficStats::messages_from_crashed},
+};
+
+TEST(ParallelNetworks, TalliesMatchSerialAndTheMirrorSumsBoth) {
+    // Each Network counts its TrafficStats in plain integers, which is safe
+    // only while each network stays on one thread; the registry mirror they
+    // share stays atomic. E03 and E08 run whole networks at once on the pool.
+    const std::uint64_t seeds[2] = {71, 72};
+    net::TrafficStats serial[2];
+    for (std::size_t i = 0; i < 2; ++i) serial[i] = run_faulty_network(seeds[i]);
+
+    const net::TrafficStats before = registry_mirror();
+    net::TrafficStats parallel[2];
+    ThreadPool pool(2);
+    parallel_for(pool, 0, 2, [&](std::size_t i) { parallel[i] = run_faulty_network(seeds[i]); });
+    const net::TrafficStats after = registry_mirror();
+
+    for (const auto& [name, field] : kTrafficFields) {
+        for (std::size_t i = 0; i < 2; ++i) {
+            EXPECT_GT(serial[i].*field, 0u) << name << " seed " << seeds[i];
+            EXPECT_EQ(parallel[i].*field, serial[i].*field) << name << " seed " << seeds[i];
+        }
+        EXPECT_EQ(after.*field - before.*field, parallel[0].*field + parallel[1].*field)
+            << name;
+    }
 }
 
 // --- Parallel data-structure hashing matches serial ----------------------------------

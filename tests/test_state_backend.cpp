@@ -10,14 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <filesystem>
 #include <map>
 #include <optional>
 #include <random>
-
-#include <unistd.h>
 
 #include "common/error.hpp"
 #include "common/threadpool.hpp"
@@ -29,6 +26,7 @@
 #include "ledger/utxo.hpp"
 #include "obs/metrics.hpp"
 #include "scaling/bootstrap.hpp"
+#include "storage/file.hpp"
 #include "storage/lsm_backend.hpp"
 
 namespace {
@@ -36,21 +34,7 @@ namespace {
 using namespace dlt;
 using namespace dlt::ledger;
 
-struct TempDir {
-    std::filesystem::path path;
-
-    TempDir() {
-        static std::atomic<unsigned> counter{0};
-        path = std::filesystem::temp_directory_path() /
-               ("dlt-state-test-" + std::to_string(::getpid()) + "-" +
-                std::to_string(counter.fetch_add(1)));
-        std::filesystem::create_directories(path);
-    }
-    ~TempDir() {
-        std::error_code ec;
-        std::filesystem::remove_all(path, ec);
-    }
-};
+using storage::TempDir;
 
 crypto::Address addr(const std::string& seed) {
     return crypto::PrivateKey::from_seed(seed).address();
@@ -293,7 +277,7 @@ TEST(UtxoCodec, DuplicateOutpointRejected) {
 // --- Cross-backend and cross-thread-count digest equality --------------------------
 
 TEST(StateBackend, BackendsAndThreadCountsAgreeOnSnapshotBytes) {
-    TempDir dir;
+    TempDir dir("state-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 18);
 
@@ -341,7 +325,7 @@ TEST(StateBackend, BackendsAndThreadCountsAgreeOnSnapshotBytes) {
 // --- LsmBackend --------------------------------------------------------------------
 
 TEST(Lsm, StateSurvivesReopenThroughFlushesAndCompactions) {
-    TempDir dir;
+    TempDir dir("state-test");
     std::mt19937_64 rng(42);
     std::map<OutPoint, TxOutput> reference;
 
@@ -409,7 +393,7 @@ TEST(Lsm, StateSurvivesReopenThroughFlushesAndCompactions) {
 }
 
 TEST(Lsm, UncommittedMutationsDieWithTheProcess) {
-    TempDir dir;
+    TempDir dir("state-test");
     std::mt19937_64 rng(9);
     const OutPoint committed_key = random_outpoint(rng);
     const TxOutput committed_val = random_output(rng);
@@ -437,7 +421,7 @@ TEST(Lsm, UncommittedMutationsDieWithTheProcess) {
 }
 
 TEST(Lsm, BloomFilterSkipsNegativeLookups) {
-    TempDir dir;
+    TempDir dir("state-test");
     std::mt19937_64 rng(5);
     storage::LsmOptions options;
     options.memtable_limit = 4;
@@ -471,7 +455,7 @@ PersistentNodeOptions persistent_options() {
 }
 
 TEST(PersistentNode, LsmEngineRecoversWithoutSnapshots) {
-    TempDir dir;
+    TempDir dir("state-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 15);
 
@@ -521,7 +505,7 @@ TEST(PersistentNode, ConnectCostsTwoFsyncsOnBothEngines) {
     const obs::Counter& fsyncs =
         obs::MetricsRegistry::global().counter("storage_fsyncs_total", "");
     for (const StateEngine engine : {StateEngine::kInMemory, StateEngine::kPersistent}) {
-        TempDir dir;
+        TempDir dir("state-test");
         PersistentNodeOptions options; // default memtable: no flush in 8 blocks
         options.state_engine = engine;
         ASSERT_EQ(options.fsync, storage::FsyncMode::kAlways);
@@ -557,7 +541,7 @@ TEST(PersistentNode, LsmCrashReplaysOnlyTheWalPastTheLastFlush) {
 
     constexpr std::size_t kFlushed = 5;
     for (const std::size_t k : {0u, 1u, 6u}) {
-        TempDir dir;
+        TempDir dir("state-test");
         storage::CrashInjector injector;
         PersistentNodeOptions options; // default memtable: only closes flush
         options.state_engine = StateEngine::kPersistent;
@@ -590,7 +574,7 @@ TEST(PersistentNode, LsmCrashReplaysOnlyTheWalPastTheLastFlush) {
 // so closing must not flush the pre-block memtable under the block's tag, and
 // the reopen replays the block from the WAL.
 TEST(PersistentNode, LsmFlushFailureAfterTheWalRecordIsFatal) {
-    TempDir dir;
+    TempDir dir("state-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 12);
     std::size_t journaled = 0; // blocks whose WAL record is down
@@ -620,7 +604,7 @@ TEST(PersistentNode, LsmFlushFailureAfterTheWalRecordIsFatal) {
 }
 
 TEST(PersistentNode, EngineSwitchesPreserveState) {
-    TempDir dir;
+    TempDir dir("state-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 10);
 
@@ -649,7 +633,7 @@ TEST(PersistentNode, EngineSwitchesPreserveState) {
 }
 
 TEST(PersistentNode, PruneDropsBlockFilesBelowSnapshot) {
-    TempDir dir;
+    TempDir dir("state-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 14);
 
@@ -759,7 +743,7 @@ TEST(PersistentNode, LsmCrashMatrixAtEveryWriteBoundary) {
     std::vector<std::uint64_t> boundaries;
     std::vector<std::uint64_t> op_end;
     {
-        TempDir dir;
+        TempDir dir("state-test");
         storage::CrashInjector probe;
         {
             PersistentNode node(dir.path, genesis, make_options(&probe));
@@ -778,7 +762,7 @@ TEST(PersistentNode, LsmCrashMatrixAtEveryWriteBoundary) {
 
     for (const std::uint64_t boundary : boundaries) {
         for (const std::uint64_t budget : {boundary, boundary - 1}) {
-            TempDir dir;
+            TempDir dir("state-test");
             storage::CrashInjector injector;
             injector.arm(budget);
             try {

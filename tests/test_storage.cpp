@@ -7,12 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <optional>
-
-#include <unistd.h>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -22,6 +19,7 @@
 #include "scaling/bootstrap.hpp"
 #include "storage/blockstore.hpp"
 #include "storage/crc32.hpp"
+#include "storage/file.hpp"
 #include "storage/lru.hpp"
 #include "storage/recordio.hpp"
 #include "storage/snapshot.hpp"
@@ -33,23 +31,8 @@ using namespace dlt;
 using namespace dlt::ledger;
 using namespace dlt::storage;
 
-// All artifacts live under a per-test directory inside the system temp dir and
-// are removed on scope exit — nothing leaks into the source tree or CWD.
-struct TempDir {
-    std::filesystem::path path;
-
-    TempDir() {
-        static std::atomic<unsigned> counter{0};
-        path = std::filesystem::temp_directory_path() /
-               ("dlt-storage-test-" + std::to_string(::getpid()) + "-" +
-                std::to_string(counter.fetch_add(1)));
-        std::filesystem::create_directories(path);
-    }
-    ~TempDir() {
-        std::error_code ec;
-        std::filesystem::remove_all(path, ec);
-    }
-};
+// All artifacts live under a per-test storage::TempDir, removed on scope
+// exit — nothing leaks into the source tree or CWD.
 
 crypto::Address addr(const std::string& seed) {
     return crypto::PrivateKey::from_seed(seed).address();
@@ -223,7 +206,7 @@ TEST(Lru, ZeroCapacityDisablesCaching) {
 // --- WAL ---------------------------------------------------------------------------
 
 TEST(Wal, AppendReopenRoundTrip) {
-    TempDir dir;
+    TempDir dir("storage-test");
     const auto path = dir.path / "wal.log";
     {
         Wal wal(path);
@@ -249,7 +232,7 @@ TEST(Wal, TornTailTruncatedAtEveryOffset) {
     // Write a log of known record sizes, then re-open after truncating the
     // file to every possible length. The recovered prefix must always be the
     // set of records whose frames fit entirely below the cut.
-    TempDir dir;
+    TempDir dir("storage-test");
     const auto path = dir.path / "wal.log";
     std::vector<std::uint64_t> boundaries{0}; // file size after k records
     {
@@ -286,7 +269,7 @@ TEST(Wal, TornTailTruncatedAtEveryOffset) {
 }
 
 TEST(Wal, CrashInjectorTearsExactlyAtBudget) {
-    TempDir dir;
+    TempDir dir("storage-test");
     const auto path = dir.path / "wal.log";
     CrashInjector injector;
     WalOptions options;
@@ -307,7 +290,7 @@ TEST(Wal, CrashInjectorTearsExactlyAtBudget) {
 }
 
 TEST(Wal, ResetKeepsSequenceMonotonic) {
-    TempDir dir;
+    TempDir dir("storage-test");
     const auto path = dir.path / "wal.log";
     Wal wal(path);
     wal.append(1, Bytes{1});
@@ -324,7 +307,7 @@ TEST(Wal, ResetKeepsSequenceMonotonic) {
 // --- BlockStore --------------------------------------------------------------------
 
 TEST(BlockStore, ReopenRebuildsIndex) {
-    TempDir dir;
+    TempDir dir("storage-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 12);
 
@@ -356,7 +339,7 @@ TEST(BlockStore, ReopenRebuildsIndex) {
 }
 
 TEST(BlockStore, UndoRecordsRoundTrip) {
-    TempDir dir;
+    TempDir dir("storage-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 9);
 
@@ -379,7 +362,7 @@ TEST(BlockStore, UndoRecordsRoundTrip) {
 }
 
 TEST(BlockStore, CorruptTailRecordDroppedOnReopen) {
-    TempDir dir;
+    TempDir dir("storage-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 4);
     UtxoSet state;
@@ -415,7 +398,7 @@ TEST(BlockStore, CorruptTailRecordDroppedOnReopen) {
 // refused before anything is truncated: its first frame would otherwise read
 // as a torn tail, and the whole block file would go.
 TEST(BlockStore, OlderTwoFileLayoutIsRefusedUntouched) {
-    TempDir dir;
+    TempDir dir("storage-test");
     const auto blocks = build_chain(test_genesis(), 3);
     Bytes image;
     for (const auto& b : blocks) {
@@ -427,7 +410,7 @@ TEST(BlockStore, OlderTwoFileLayoutIsRefusedUntouched) {
     EXPECT_EQ(read_file(dir.path / "blocks.dat"), image);
 
     // An undo.dat marks the older layout too, whatever the block file holds.
-    TempDir other;
+    TempDir other("storage-test");
     {
         BlockStore store(other.path);
         UtxoSet state;
@@ -441,7 +424,7 @@ TEST(BlockStore, OlderTwoFileLayoutIsRefusedUntouched) {
 }
 
 TEST(BlockStore, LruCacheColdAndWarmReads) {
-    TempDir dir;
+    TempDir dir("storage-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 6);
     UtxoSet state;
@@ -470,7 +453,7 @@ TEST(BlockStore, LruCacheColdAndWarmReads) {
 // --- Snapshots ---------------------------------------------------------------------
 
 TEST(Snapshot, SaveLoadRoundTripAndCheckpointCompat) {
-    TempDir dir;
+    TempDir dir("storage-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 5);
     UtxoSet state;
@@ -498,7 +481,7 @@ TEST(Snapshot, EveryByteFlipIsRejected) {
     // Property-style corruption sweep: flipping any single byte of the
     // snapshot file must make the strict loader throw — never crash, never
     // silently accept.
-    TempDir dir;
+    TempDir dir("storage-test");
     UtxoSet state;
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 3);
@@ -526,7 +509,7 @@ TEST(Snapshot, EveryByteFlipIsRejected) {
 }
 
 TEST(Snapshot, LoadLatestFallsBackPastCorruptFiles) {
-    TempDir dir;
+    TempDir dir("storage-test");
     UtxoSet state;
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 4);
@@ -549,7 +532,7 @@ TEST(Snapshot, LoadLatestFallsBackPastCorruptFiles) {
 }
 
 TEST(Snapshot, PruneKeepsNewest) {
-    TempDir dir;
+    TempDir dir("storage-test");
     UtxoSet state;
     SnapshotManager mgr(dir.path / "snaps");
     for (std::uint64_t h = 1; h <= 5; ++h)
@@ -605,7 +588,7 @@ using core::PersistentNode;
 using core::PersistentNodeOptions;
 
 TEST(PersistentNode, StateSurvivesCleanRestart) {
-    TempDir dir;
+    TempDir dir("storage-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 20);
 
@@ -627,7 +610,7 @@ TEST(PersistentNode, StateSurvivesCleanRestart) {
 }
 
 TEST(PersistentNode, SnapshotShortensReplay) {
-    TempDir dir;
+    TempDir dir("storage-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 15);
     {
@@ -645,7 +628,7 @@ TEST(PersistentNode, SnapshotShortensReplay) {
 }
 
 TEST(PersistentNode, DisconnectBelowSnapshotUsesDurableUndo) {
-    TempDir dir;
+    TempDir dir("storage-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 10);
 
@@ -677,7 +660,7 @@ TEST(PersistentNode, DisconnectBelowSnapshotUsesDurableUndo) {
 }
 
 TEST(PersistentNode, RejectsBlockOffTip) {
-    TempDir dir;
+    TempDir dir("storage-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 3);
     PersistentNode node(dir.path, genesis);
@@ -733,7 +716,7 @@ TEST(PersistentNode, CrashRecoveryMatrix) {
     // each op's writes end.
     std::vector<std::uint64_t> op_end;
     {
-        TempDir dir;
+        TempDir dir("storage-test");
         CrashInjector probe;
         PersistentNodeOptions options;
         options.injector = &probe;
@@ -756,7 +739,7 @@ TEST(PersistentNode, CrashRecoveryMatrix) {
     for (std::uint64_t b = 2; b < total_bytes; b += 97) budgets.push_back(b);
 
     for (const std::uint64_t budget : budgets) {
-        TempDir dir;
+        TempDir dir("storage-test");
         CrashInjector injector;
         injector.arm(budget);
         PersistentNodeOptions options;
@@ -849,7 +832,7 @@ TEST(PersistentNode, CrashMatrixAtEveryWalBoundaryInReorgWindow) {
     std::vector<std::uint64_t> window_boundaries;
     std::vector<std::uint64_t> op_end;
     {
-        TempDir dir;
+        TempDir dir("storage-test");
         CrashInjector probe;
         PersistentNodeOptions options;
         options.injector = &probe;
@@ -871,7 +854,7 @@ TEST(PersistentNode, CrashMatrixAtEveryWalBoundaryInReorgWindow) {
 
     for (const std::uint64_t boundary : window_boundaries) {
         for (const std::uint64_t budget : {boundary, boundary - 1}) {
-            TempDir dir;
+            TempDir dir("storage-test");
             CrashInjector injector;
             injector.arm(budget);
             PersistentNodeOptions options;
@@ -913,7 +896,7 @@ TEST(PersistentNode, CrashMatrixAtEveryWalBoundaryInReorgWindow) {
 TEST(PersistentNode, CrashDuringSnapshotWindowIsSafe) {
     // A crash between snapshot save and WAL reset must not double-apply
     // journaled blocks: replay skips records the snapshot already covers.
-    TempDir dir;
+    TempDir dir("storage-test");
     const Block genesis = test_genesis();
     const auto blocks = build_chain(genesis, 6);
     {

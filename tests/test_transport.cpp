@@ -36,24 +36,14 @@
 #include "net/transport/tcp_transport.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
+#include "storage/file.hpp"
 
 using namespace dlt;
 using namespace dlt::net::transport;
 
 namespace {
 
-struct TempDir {
-    std::filesystem::path path;
-    explicit TempDir(const std::string& tag) {
-        path = std::filesystem::temp_directory_path() / ("dlt-test-transport-" + tag);
-        std::filesystem::remove_all(path);
-        std::filesystem::create_directories(path);
-    }
-    ~TempDir() {
-        std::error_code ec;
-        std::filesystem::remove_all(path, ec);
-    }
-};
+using storage::TempDir;
 
 std::uint64_t counter_value(const std::string& name) {
     return obs::MetricsRegistry::global().counter(name).value();
@@ -1343,7 +1333,7 @@ TEST(Cluster, SigtermFlushesAndReopensWithZeroWalReplay) {
     config.engine = core::ReplicaEngine::kNakamoto;
     config.block_interval = 0.25;
     config.work_dir = work.path;
-    config.lsm_state = true; // LSM commits per WAL record: clean reopen replays 0
+    config.lsm_state = true; // a clean close flushes the LSM: reopen replays 0
     app::ClusterDriver cluster(config);
     cluster.start();
 
@@ -1369,8 +1359,8 @@ TEST(Cluster, SigtermFlushesAndReopensWithZeroWalReplay) {
     EXPECT_EQ(codes[0], 0);
     EXPECT_EQ(codes[2], 0);
 
-    // Reopen the SIGTERMed node's data dir in-process: every connect was
-    // WAL-committed into the LSM engine before the daemon exited, so recovery
+    // Reopen the SIGTERMed node's data dir in-process: the daemon's clean
+    // close flushed the LSM engine through its last connect, so recovery
     // must come from the engine with zero WAL records replayed.
     core::PersistentNodeOptions options;
     options.state_engine = core::StateEngine::kPersistent;
