@@ -104,7 +104,8 @@ struct CellResult {
 };
 
 /// Run one cell. `load_level` is the demand knob the matrix sweeps; chains
-/// and the DAG offer it as tx/s, PBFT multiplies it by 10.
+/// and the DAG offer it as tx/s, PBFT multiplies it by kPbftLoadMultiplier
+/// (scenario.cpp).
 CellResult run_scenario_cell(const ScenarioConfig& cfg, ScenarioEngine engine,
                              ScenarioAttack attack, double load_level);
 

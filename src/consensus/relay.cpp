@@ -217,26 +217,25 @@ bool BlockRelay::request(const Hash256& hash, PeerId peer) {
 void BlockRelay::retry_requests() {
     // Ask a random peer again for every block still missing: the request or
     // its reply may have been lost, or the peer asked may not have it. A
-    // block whose parent stayed missing for kMaxAsks ticks goes: no peer
-    // returns that parent.
+    // block whose parent stayed missing for kMaxAsks ticks goes first, as no
+    // peer returns that parent; a block parked behind it then asks for it on
+    // this same tick, whatever the hash order.
     requested_.clear();
     const auto peers = transport_.peer_ids();
     if (peers.empty()) return;
     const auto missing = [this](const Hash256& p) {
         return !index_.has(p) && !orphans_.contains(p);
     };
-    for (auto it = orphans_.begin(); it != orphans_.end();) {
-        Orphan& orphan = it->second;
+    std::vector<Hash256> dropped;
+    for (auto& [hash, orphan] : orphans_)
         if (std::any_of(orphan.parents.begin(), orphan.parents.end(), missing) &&
-            ++orphan.missed_ticks == kMaxAsks) {
-            it = orphans_.erase(it);
-            continue;
-        }
+            ++orphan.missed_ticks == kMaxAsks)
+            dropped.push_back(hash);
+    for (const Hash256& hash : dropped) orphans_.erase(hash);
+    for (const auto& [hash, orphan] : orphans_)
         for (const Hash256& parent : orphan.parents)
             if (missing(parent) && request(parent, peers[rng_.index(peers.size())]))
                 ++retries_;
-        ++it;
-    }
 }
 
 } // namespace dlt::consensus

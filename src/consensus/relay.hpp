@@ -106,8 +106,9 @@ public:
     /// flood reaches it.
     static constexpr std::size_t kMaxOrphans = 256;
     /// Retry ticks on which a parked block's parent may be missing before the
-    /// block is dropped: 32 s at the default sync interval, so that only a
-    /// parent no peer returns reaches it.
+    /// block is dropped. Far above the most any experiment waits (5 ticks), so
+    /// that only a parent no peer returns reaches it: 32 s at the default sync
+    /// interval, 16 s at ClusterDriver's 0.25 s.
     static constexpr std::uint32_t kMaxAsks = 64;
     /// Seconds between fetch retries, unless the engine's owner sets another.
     static constexpr double kSyncInterval = 0.5;

@@ -321,6 +321,43 @@ TEST(BlockRelay, DropsAParkedBlockWhoseParentNoPeerReturns) {
     EXPECT_EQ(net.orphan_count(0), 0u);
 }
 
+TEST(BlockRelay, DropsAParkedChainBehindItsRootInEitherHashOrder) {
+    // Peer 2 pushes peer 0 a chain root <- child whose root's parent nobody
+    // has, and nothing else is parked. The root goes after kMaxAsks ticks; the
+    // child then asks for the root as its own missing parent and goes kMaxAsks
+    // ticks later. Parked blocks are visited in hash order, and the child must
+    // still ask on the tick that drops the root when it sorts first.
+    for (const bool child_sorts_first : {false, true}) {
+        SCOPED_TRACE(child_sorts_first ? "child sorts first" : "root sorts first");
+        Block root, child;
+        for (int i = 0;; ++i) {
+            root = child = Block{};
+            root.header.prev_hash = crypto::sha256(to_bytes("missing/" + std::to_string(i)));
+            root.header.height = 1;
+            root.header.merkle_root = root.compute_merkle_root();
+            child.header.prev_hash = root.hash();
+            child.header.height = 2;
+            child.header.merkle_root = child.compute_merkle_root();
+            if ((child.hash() < root.hash()) == child_sorts_first) break;
+        }
+        NakamotoParams params = fast_params();
+        params.node_count = 3;
+        params.hashrate_shares = {0, 1, 0};
+        NakamotoNetwork net(params, 31);
+        net.set_mined_block_hook([](net::NodeId, const Block&) { return false; });
+        net.start();
+        net.push_block(2, 0, root);
+        net.push_block(2, 0, child);
+        net.run_for(1.0);
+        EXPECT_EQ(net.orphan_count(0), 2u);
+        net.run_for((2 * BlockRelay::kMaxAsks + 1) * BlockRelay::kSyncInterval);
+        EXPECT_EQ(net.orphan_count(0), 0u);
+        const std::uint64_t sent = net.traffic().messages_sent;
+        net.run_for(10 * BlockRelay::kSyncInterval);
+        EXPECT_EQ(net.traffic().messages_sent, sent);
+    }
+}
+
 TEST(TxRelay, DropsALateRelayOfAConfirmedTransaction) {
     // A record carries no UTXO conflict, so only the seen-set stops a relay
     // that arrives after its block from putting it back in the pool.
